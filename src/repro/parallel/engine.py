@@ -2,25 +2,29 @@
 
 The paper's workflow builds the BET **once** and re-projects it across
 hardware points (Sec. V, Sec. VII); co-design studies therefore look like
-batch jobs: a grid of machine parameters, or a matrix of
+batch jobs: a list of machine×input design points, or a matrix of
 (workload × machine × ablation) analyses.  This module provides that batch
 layer:
 
 * :func:`build_bet_cached` — memoized BET construction keyed by
   (program fingerprint, frozen inputs, entry), so one tree serves every
   sweep point of a session;
-* :func:`sweep_grid` — an N-dimensional machine-parameter grid projected
-  over one BET, with process-pool fan-out and deterministic (row-major)
-  point ordering;
+* :func:`evaluate_cells` — the one sweep core (DESIGN.md §8): an explicit
+  list of cells, each a dict of machine-field and ``input:<name>``
+  overrides, projected with deterministic ordering, process-pool or
+  executor fan-out, retries, checkpoints, and the lane-grouped vector
+  backend.  Cells with input axes are routed through
+  :class:`~repro.bet.SymbolicBET` rebinds in chunks, so each worker
+  amortizes one recorded build (and the expression-compile warmup)
+  across its whole chunk;
+* :func:`sweep_grid` and :func:`sweep_inputs` — thin adapters over that
+  core: the cross product of a machine (or mixed) grid, and a sweep of
+  workload inputs (``input:``-prefixed cells returned as
+  :class:`InputSweepResult`); :func:`repro.analysis.sweep_machine` is the
+  one-axis adapter;
 * :func:`analyze_matrix` — the full Prof-vs-Modl pipeline fanned out over
   a (workload × machine × ablation) matrix; results are fed back into the
-  bounded pipeline cache so later figure slicing is free;
-* :func:`sweep_inputs` — the *input*-axis counterpart (DESIGN.md §8):
-  points that change the workload's inputs are routed through
-  :class:`~repro.bet.SymbolicBET` rebinds in contiguous chunks, so each
-  worker amortizes one recorded build (and the expression-compile
-  warmup) across its whole chunk; ``input:``-prefixed axes mix the same
-  machinery into :func:`sweep_grid`.
+  bounded pipeline cache so later figure slicing is free.
 
 Every result carries per-stage wall seconds and cache statistics so the
 performance trajectory is observable (``timings`` / ``cache_stats``).
@@ -30,7 +34,9 @@ bit-identical to it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import threading
 import time
 import traceback as _tb
 from dataclasses import dataclass, field
@@ -41,18 +47,19 @@ from ..analysis.sensitivity import project_machine, project_with_model
 from ..analysis.vectorized import project_batch
 from ..bet import SymbolicBET, build_bet
 from ..bet.nodes import BETNode, render_tree
-from ..errors import AnalysisError
+from ..errors import AnalysisError, CheckpointError
 from ..hardware.machine import MachineModel, ensure_valid_machine
 from ..hardware.roofline import RooflineModel
 from ..skeleton.bst import Program
 from .cache import CacheStats, LRUCache
 from .executors import SweepExecutor, resolve_executor
 from .lanes import (
-    INPUT_PREFIX, LanePack, pack_cells, plan_lane_chunks, split_overrides,
+    INPUT_PREFIX, LanePack, cell_signature, pack_group, plan_lane_chunks,
+    split_overrides,
 )
 from .fault import (
-    MapOutcome, PointFailure, RetryPolicy, SweepCheckpoint, factory_tag,
-    overrides_key, resilient_map, sweep_key,
+    PointFailure, RetryPolicy, SweepCheckpoint, factory_tag, overrides_key,
+    resilient_map, sweep_key,
 )
 from .pool import parallel_map
 from .shard import ShardScheduler
@@ -92,7 +99,7 @@ def clear_bet_cache() -> None:
     _BET_CACHE.clear()
 
 
-# -- N-dimensional machine grids ----------------------------------------------
+# -- results -------------------------------------------------------------------
 
 @dataclass
 class GridPoint:
@@ -182,855 +189,6 @@ class GridResult:
         return "\n".join(lines)
 
 
-def _grid_cells(grid: Dict[str, Sequence[float]]) -> List[Dict[str, float]]:
-    names = list(grid)
-    return [dict(zip(names, combo))
-            for combo in itertools.product(*(grid[name]
-                                             for name in names))]
-
-
-def _cell_machine(base_machine: MachineModel,
-                  overrides: Dict[str, float]) -> MachineModel:
-    """The derived machine for one grid cell (single source of naming, so
-    checkpoint-resumed points are bit-identical to computed ones).
-
-    ``input:``-prefixed axes describe workload inputs, not machine
-    fields; they appear in the name tag but are not applied as overrides.
-    """
-    tag = ",".join(f"{name}={value:g}"
-                   for name, value in overrides.items())
-    machine_part = {name: value for name, value in overrides.items()
-                    if not name.startswith(INPUT_PREFIX)}
-    return base_machine.with_overrides(
-        name=f"{base_machine.name}[{tag}]", **machine_part)
-
-
-def _grid_one(bet: BETNode, base_machine: MachineModel,
-              overrides: Dict[str, float],
-              model_factory: Optional[Callable], k: int) -> GridPoint:
-    machine = _cell_machine(base_machine, overrides)
-    projection = project_machine(bet, machine, model_factory, k)
-    return GridPoint(overrides=dict(overrides), machine=machine,
-                     **projection)
-
-
-def _grid_point_task(payload) -> GridPoint:
-    """Process-pool task: project one grid cell (per-point dispatch, so a
-    failing or hanging cell is isolated to its own task)."""
-    bet, base_machine, overrides, model_factory, k = payload
-    return _grid_one(bet, base_machine, overrides, model_factory, k)
-
-
-def _point_chunk_task(payload):
-    """Executor shard task: a batch of independent per-point payloads.
-
-    Wraps any per-point task into the chunked ``(rows, stats)`` protocol
-    so machine-only grids shard exactly like input sweeps: per-point
-    errors become fail rows (phase-2 territory), never shard faults.
-    """
-    task, point_payloads = payload
-    rows = []
-    for point_payload in point_payloads:
-        try:
-            rows.append(("ok", task(point_payload)))
-        except Exception as exc:
-            rows.append(("fail", type(exc).__name__, str(exc),
-                         _tb.format_exc()))
-    return rows, {}
-
-
-def _grid_point_to_dict(point: GridPoint) -> Dict[str, Any]:
-    """JSON-ready checkpoint payload for one completed cell."""
-    return {"overrides": dict(point.overrides),
-            "runtime": point.runtime,
-            "ranking": list(point.ranking),
-            "top_label": point.top_label,
-            "memory_fraction": point.memory_fraction,
-            "completeness": point.completeness}
-
-
-def _grid_point_from_dict(payload: Dict[str, Any],
-                          base_machine: MachineModel,
-                          overrides: Optional[Dict[str, float]] = None
-                          ) -> GridPoint:
-    """Rebuild a checkpointed cell (floats round-trip exactly through
-    JSON, so resumed results equal an uninterrupted run's).
-
-    ``overrides`` is the caller's canonical cell dict: the checkpoint
-    stores dicts key-sorted, so rebuilding from the payload alone would
-    give resumed cells a differently-ordered machine name tag.
-    """
-    if overrides is None:
-        overrides = {name: value
-                     for name, value in payload["overrides"].items()}
-    return GridPoint(overrides=dict(overrides),
-                     machine=_cell_machine(base_machine, overrides),
-                     runtime=payload["runtime"],
-                     ranking=list(payload["ranking"]),
-                     top_label=payload["top_label"],
-                     memory_fraction=payload["memory_fraction"],
-                     completeness=payload.get("completeness", 1.0))
-
-
-def _default_grid_key(bet: BETNode, base_machine: MachineModel,
-                      grid: Dict[str, Sequence[float]], k: int) -> str:
-    """Content key tying a checkpoint to (tree, machine, grid, k)."""
-    return sweep_key(render_tree(bet), repr(base_machine),
-                     sorted((name, tuple(values))
-                            for name, values in grid.items()), k)
-
-
-def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
-               grid: Dict[str, Sequence[float]],
-               model_factory: Optional[Callable] = None,
-               k: int = 10,
-               workers: int = 1,
-               strict: bool = False,
-               policy: Optional[RetryPolicy] = None,
-               timeout: Optional[float] = None,
-               checkpoint: Optional[str] = None,
-               resume: bool = False,
-               checkpoint_key: Optional[str] = None,
-               validate: bool = True,
-               program: Optional[Program] = None,
-               inputs: Optional[Dict[str, float]] = None,
-               entry: str = "main",
-               library=None,
-               chunk_size: Optional[int] = None,
-               backend: str = "auto",
-               executor=None,
-               shards: Optional[int] = None,
-               topology=None,
-               chaos=None) -> GridResult:
-    """Project one BET over the cross product of machine parameters.
-
-    Parameters
-    ----------
-    bet:
-        A built BET (machine independent; shared by every cell).  May be
-        ``None`` when ``program`` is given and every axis is an input
-        axis.
-    base_machine:
-        The machine whose fields are overridden per cell.
-    grid:
-        ``{parameter: values, ...}`` — cells are the cross product, in
-        row-major order (last parameter varies fastest).  An axis named
-        ``input:<name>`` sweeps the workload input ``<name>`` instead of
-        a machine field; such grids require ``program`` and are routed
-        through :class:`~repro.bet.SymbolicBET` rebinds with chunked
-        dispatch (list input axes first so consecutive cells share a
-        binding).
-    workers:
-        Process-pool width; ``1`` runs serially.  Ordering and values are
-        identical either way.
-    strict:
-        ``False`` (default): a failing cell becomes a
-        :class:`~repro.parallel.PointFailure` on ``result.failures`` while
-        every healthy cell completes.  ``True`` restores fail-fast
-        (:class:`~repro.errors.RetryExhaustedError` /
-        :class:`~repro.errors.TaskTimeoutError`).
-    policy:
-        :class:`~repro.parallel.RetryPolicy` for transient faults
-        (default: no retries).
-    timeout:
-        Per-cell bound in seconds, enforced on the parallel path.
-    checkpoint / resume / checkpoint_key:
-        Path for periodic JSON checkpoints of completed cells;
-        ``resume=True`` skips cells already checkpointed (the key —
-        defaulting to a hash of the rendered BET, the machine, and the
-        grid — must match, else :class:`~repro.errors.CheckpointError`).
-    validate:
-        Pre-flight the base machine
-        (:func:`~repro.hardware.validate_machine`) before any work.
-    program / inputs / entry / library:
-        The workload behind ``input:`` axes: per-cell bindings are
-        ``inputs`` overlaid with the cell's input-axis values.
-    chunk_size:
-        Cells per shipped chunk on the input-axis path (default: about
-        four chunks per worker, floored at 16 cells).
-    backend:
-        ``"scalar"``, ``"vector"``, or ``"auto"`` (default).  The vector
-        backend batch-replays the input axes of each chunk (cells
-        grouped by machine overrides); ``auto`` selects it only for pure
-        input grids of at least :data:`VECTOR_MIN_POINTS` cells.
-    executor / shards / topology / chaos:
-        Sharded dispatch (DESIGN.md §12).  ``executor`` names a
-        :class:`~repro.parallel.executors.SweepExecutor` (``"serial"`` /
-        ``"pool"`` / ``"multinode"``) or is an instance; the grid is
-        split into ``shards`` work units (default: about four per
-        executor worker) scheduled with work-stealing, crash/heartbeat
-        supervision, and poison-shard quarantine.  ``topology`` selects
-        the simulated cluster for ``"multinode"``; ``chaos`` injects a
-        :class:`~repro.parallel.chaos.ChaosSchedule` of executor-layer
-        faults.  ``executor=None`` (default) keeps the legacy dispatch
-        path, bit-identically.
-    """
-    if not grid or any(len(list(values)) == 0 for values in grid.values()):
-        raise AnalysisError("grid needs at least one value per parameter")
-    input_axes = [name for name in grid if name.startswith(INPUT_PREFIX)]
-    for parameter in grid:
-        if parameter.startswith(INPUT_PREFIX):
-            continue
-        if not hasattr(base_machine, parameter):
-            raise AnalysisError(
-                f"machine has no parameter {parameter!r}")
-    if input_axes and program is None:
-        raise AnalysisError(
-            f"grid axes {input_axes} sweep workload inputs; "
-            "pass program= (and optionally inputs=) to sweep_grid")
-    if not input_axes and bet is None:
-        raise AnalysisError("sweep_grid needs a built BET for "
-                            "machine-only grids")
-    if validate:
-        ensure_valid_machine(base_machine)
-    started = time.perf_counter()
-    cells = _grid_cells(grid)
-    base_inputs = dict(inputs or {})
-    machine_axes = [name for name in grid
-                    if not name.startswith(INPUT_PREFIX)]
-    backend = _resolve_backend(backend, len(cells),
-                               has_machine_axes=bool(machine_axes),
-                               has_input_axes=bool(input_axes))
-    resolved_executor: Optional[SweepExecutor] = None
-    if executor is not None:
-        resolved_executor = resolve_executor(executor, workers=workers,
-                                             topology=topology, chaos=chaos)
-    shard_stats: Dict[str, float] = {}
-
-    ckpt: Optional[SweepCheckpoint] = None
-    if checkpoint:
-        if checkpoint_key:
-            key = checkpoint_key
-        elif input_axes:
-            key = sweep_key(program.fingerprint(),
-                            tuple(sorted(base_inputs.items())), entry,
-                            repr(base_machine),
-                            sorted((name, tuple(values))
-                                   for name, values in grid.items()), k)
-        else:
-            key = _default_grid_key(bet, base_machine, grid, k)
-        ckpt = SweepCheckpoint.load(
-            checkpoint, key, resume=resume,
-            settings=_checkpoint_settings(backend, model_factory,
-                                          resolved_executor))
-
-    return _evaluate_cell_list(
-        cells, base_machine,
-        grid_spec={name: list(values) for name, values in grid.items()},
-        has_input_axes=bool(input_axes), bet=bet, program=program,
-        base_inputs=base_inputs, entry=entry, library=library,
-        model_factory=model_factory, k=k, workers=workers, strict=strict,
-        policy=policy, timeout=timeout, chunk_size=chunk_size,
-        backend=backend, resolved_executor=resolved_executor,
-        shards=shards, shard_stats=shard_stats, ckpt=ckpt,
-        started=started)
-
-
-def evaluate_cells(base_machine: MachineModel,
-                   cells: Sequence[Dict[str, float]],
-                   bet: Optional[BETNode] = None,
-                   model_factory: Optional[Callable] = None,
-                   k: int = 10,
-                   workers: int = 1,
-                   strict: bool = False,
-                   policy: Optional[RetryPolicy] = None,
-                   timeout: Optional[float] = None,
-                   checkpoint: Optional[str] = None,
-                   resume: bool = False,
-                   checkpoint_key: Optional[str] = None,
-                   validate: bool = True,
-                   program: Optional[Program] = None,
-                   inputs: Optional[Dict[str, float]] = None,
-                   entry: str = "main",
-                   library=None,
-                   chunk_size: Optional[int] = None,
-                   backend: str = "auto",
-                   executor=None,
-                   shards: Optional[int] = None,
-                   topology=None,
-                   chaos=None) -> GridResult:
-    """Project an *explicit list* of machine×input cells, exactly.
-
-    The point-list sibling of :func:`sweep_grid`: instead of the cross
-    product of a grid spec, the caller names each cell — a dict of
-    machine-field and/or ``input:<name>`` overrides — and gets one
-    :class:`GridPoint` per cell (in order, failures recorded aside),
-    computed through the same chunked dispatch, vector backend, retry,
-    checkpoint, and executor machinery as a full grid, with the same
-    bit-identical-to-``sweep_grid`` guarantee.  This is the evaluation
-    primitive of the :mod:`repro.explore` active-learning loop, which
-    acquires scattered index sets of a lazy
-    :class:`~repro.explore.GridSpace` rather than dense boxes.
-
-    ``checkpoint_key`` should be passed when the same checkpoint file
-    accumulates several calls over one logical space (the explorer keys
-    it by the space fingerprint); the default key hashes the exact cell
-    list, so different batches would otherwise refuse to share a file.
-    Other parameters match :func:`sweep_grid`.
-    """
-    cells = [dict(cell) for cell in cells]
-    if not cells:
-        raise AnalysisError("evaluate_cells needs at least one cell")
-    input_names: set = set()
-    machine_names: set = set()
-    for cell in cells:
-        for name in cell:
-            if name.startswith(INPUT_PREFIX):
-                input_names.add(name)
-            elif hasattr(base_machine, name):
-                machine_names.add(name)
-            else:
-                raise AnalysisError(
-                    f"machine has no parameter {name!r}")
-    if input_names and program is None:
-        raise AnalysisError(
-            f"cells override workload inputs {sorted(input_names)}; "
-            "pass program= (and optionally inputs=) to evaluate_cells")
-    if not input_names and bet is None:
-        raise AnalysisError("evaluate_cells needs a built BET for "
-                            "machine-only cells")
-    if validate:
-        ensure_valid_machine(base_machine)
-    started = time.perf_counter()
-    base_inputs = dict(inputs or {})
-    backend = _resolve_backend(backend, len(cells),
-                               has_machine_axes=bool(machine_names),
-                               has_input_axes=bool(input_names))
-    resolved_executor: Optional[SweepExecutor] = None
-    if executor is not None:
-        resolved_executor = resolve_executor(executor, workers=workers,
-                                             topology=topology, chaos=chaos)
-    shard_stats: Dict[str, float] = {}
-
-    ckpt: Optional[SweepCheckpoint] = None
-    if checkpoint:
-        if checkpoint_key:
-            key = checkpoint_key
-        elif input_names:
-            key = sweep_key(program.fingerprint(),
-                            tuple(sorted(base_inputs.items())), entry,
-                            repr(base_machine),
-                            tuple(overrides_key(cell) for cell in cells),
-                            k)
-        else:
-            key = sweep_key(render_tree(bet), repr(base_machine),
-                            tuple(overrides_key(cell) for cell in cells),
-                            k)
-        ckpt = SweepCheckpoint.load(
-            checkpoint, key, resume=resume,
-            settings=_checkpoint_settings(backend, model_factory,
-                                          resolved_executor))
-
-    # the axis union, for the result's informational grid field
-    spec: Dict[str, List[float]] = {}
-    for cell in cells:
-        for name, value in cell.items():
-            values = spec.setdefault(name, [])
-            if value not in values:
-                values.append(value)
-    return _evaluate_cell_list(
-        cells, base_machine, grid_spec=spec,
-        has_input_axes=bool(input_names), bet=bet, program=program,
-        base_inputs=base_inputs, entry=entry, library=library,
-        model_factory=model_factory, k=k, workers=workers, strict=strict,
-        policy=policy, timeout=timeout, chunk_size=chunk_size,
-        backend=backend, resolved_executor=resolved_executor,
-        shards=shards, shard_stats=shard_stats, ckpt=ckpt,
-        started=started)
-
-
-def _evaluate_cell_list(cells: List[Dict[str, float]],
-                        base_machine: MachineModel,
-                        grid_spec: Dict[str, List[float]],
-                        has_input_axes: bool,
-                        bet: Optional[BETNode],
-                        program: Optional[Program],
-                        base_inputs: Dict[str, float],
-                        entry: str,
-                        library,
-                        model_factory: Optional[Callable],
-                        k: int,
-                        workers: int,
-                        strict: bool,
-                        policy: Optional[RetryPolicy],
-                        timeout: Optional[float],
-                        chunk_size: Optional[int],
-                        backend: str,
-                        resolved_executor: Optional[SweepExecutor],
-                        shards: Optional[int],
-                        shard_stats: Dict[str, float],
-                        ckpt: Optional[SweepCheckpoint],
-                        started: float) -> GridResult:
-    """Shared evaluation core of :func:`sweep_grid` (cross products) and
-    :func:`evaluate_cells` (explicit cell lists): checkpoint triage,
-    chunked/sharded dispatch, and result assembly."""
-    prior: Dict[int, GridPoint] = {}
-    pending_indices: List[int] = []
-    pending_cells: List[Dict[str, float]] = []
-    for index, overrides in enumerate(cells):
-        stored = ckpt.get(overrides_key(overrides)) if ckpt else None
-        if stored is not None:
-            prior[index] = _grid_point_from_dict(stored, base_machine,
-                                                 overrides)
-        else:
-            pending_indices.append(index)
-            pending_cells.append(overrides)
-
-    stages: Dict[str, float] = {}
-    if has_input_axes:
-        sym = SymbolicBET(program, entry=entry, library=library)
-
-        def record(global_index: int, point: GridPoint) -> None:
-            if ckpt is not None:
-                ckpt.record(overrides_key(cells[global_index]),
-                            _grid_point_to_dict(point))
-
-        lane_chunks: Optional[List[List[int]]] = None
-        if backend == "vector" and pending_cells:
-            # grouped dispatch (DESIGN.md §15): partition the pending
-            # cells by machine signature so every shipped chunk — the
-            # shard unit — is one lane-group slice, then pack each
-            # vector-eligible chunk as a columnar SoA payload instead of
-            # N per-point dicts
-            width = (resolved_executor.width
-                     if resolved_executor is not None else workers)
-            if resolved_executor is not None and shards:
-                group_size = max(1, -(-len(pending_cells)
-                                      // max(1, int(shards))))
-            elif chunk_size is not None:
-                group_size = max(1, chunk_size)
-            else:
-                group_size = _auto_chunk_size(len(pending_cells), width,
-                                              vector=True)
-            lane_chunks = plan_lane_chunks(pending_cells, group_size)
-
-        def grid_chunk_payload(chunk):
-            shipped: Any = None
-            if backend == "vector":
-                shipped = pack_cells(chunk)
-            if shipped is None:
-                shipped = list(chunk)
-            return (sym, base_machine, shipped, base_inputs,
-                    model_factory, k, backend)
-
-        try:
-            computed, failures, stages = _run_chunked(
-                pending_cells, pending_indices,
-                chunk_payload=grid_chunk_payload,
-                point_payload=lambda overrides: (sym, base_machine,
-                                                 overrides, base_inputs,
-                                                 model_factory, k),
-                chunk_task=_grid_chunk_task,
-                point_task=_grid_input_point_task,
-                describe=overrides_key, record=record,
-                workers=workers, strict=strict, policy=policy,
-                timeout=timeout, chunk_size=chunk_size,
-                executor=resolved_executor, shards=shards,
-                shard_stats=shard_stats, chunks=lane_chunks,
-                vector=(backend == "vector"))
-        finally:
-            if ckpt is not None:
-                ckpt.flush()
-    elif resolved_executor is not None:
-        # machine-only grid on an executor: per-point payloads batched
-        # into shards through the generic chunk wrapper
-
-        def record_cell(global_index: int, point: GridPoint) -> None:
-            if ckpt is not None:
-                ckpt.record(overrides_key(cells[global_index]),
-                            _grid_point_to_dict(point))
-
-        try:
-            computed, failures, stages = _run_chunked(
-                pending_cells, pending_indices,
-                chunk_payload=lambda chunk: (
-                    _grid_point_task,
-                    [(bet, base_machine, overrides, model_factory, k)
-                     for overrides in chunk]),
-                point_payload=lambda overrides: (bet, base_machine,
-                                                 overrides, model_factory,
-                                                 k),
-                chunk_task=_point_chunk_task,
-                point_task=_grid_point_task,
-                describe=overrides_key, record=record_cell,
-                workers=workers, strict=strict, policy=policy,
-                timeout=timeout, chunk_size=chunk_size,
-                executor=resolved_executor, shards=shards,
-                shard_stats=shard_stats)
-        finally:
-            if ckpt is not None:
-                ckpt.flush()
-    else:
-        payloads = [(bet, base_machine, overrides, model_factory, k)
-                    for overrides in pending_cells]
-
-        def checkpoint_point(local: int, point: GridPoint) -> None:
-            if ckpt is not None:
-                ckpt.record(overrides_key(pending_cells[local]),
-                            _grid_point_to_dict(point))
-
-        try:
-            outcome = resilient_map(
-                _grid_point_task, payloads, workers=workers, policy=policy,
-                timeout=timeout, strict=strict, indices=pending_indices,
-                describe=lambda payload: overrides_key(payload[2]),
-                on_point=checkpoint_point)
-        finally:
-            if ckpt is not None:
-                ckpt.flush()
-        computed = {pending_indices[local]: point
-                    for local, point in enumerate(outcome.results)
-                    if point is not None}
-        failures = outcome.failures
-
-    points = [prior.get(index) or computed.get(index)
-              for index in range(len(cells))]
-    points = [point for point in points if point is not None]
-    elapsed = time.perf_counter() - started
-    timings = {"project": stages.get("project_seconds", elapsed),
-               "total": elapsed,
-               "workers": float(max(workers, 1)),
-               "points": float(len(points)),
-               "failed": float(len(failures)),
-               "resumed": float(len(prior))}
-    cache_stats = bet_cache_stats().as_dict()
-    if has_input_axes:
-        timings.update(
-            build=stages.get("bet_build_seconds", 0.0),
-            rebind=stages.get("bet_replay_seconds", 0.0),
-            batch=stages.get("bet_batch_seconds", 0.0),
-            compile=stages.get("compile_seconds", 0.0))
-        cache_stats.update(
-            bet_builds=stages.get("bet_builds", 0.0),
-            bet_replays=stages.get("bet_replays", 0.0),
-            bet_shape_rebuilds=stages.get("bet_shape_rebuilds", 0.0),
-            bet_batch_replays=stages.get("bet_batch_replays", 0.0),
-            lanes_vectorized=stages.get("bet_lanes_vectorized", 0.0),
-            lanes_fallback=stages.get("bet_lanes_fallback", 0.0),
-            lane_groups=stages.get("lane_groups", 0.0),
-            compiles=stages.get("compiles", 0.0),
-            compile_cache_hits=stages.get("compile_cache_hits", 0.0),
-            parse_cache_hits=stages.get("parse_cache_hits", 0.0))
-    return GridResult(
-        grid=grid_spec,
-        points=points,
-        timings=timings,
-        cache_stats=cache_stats,
-        failures=failures,
-        backend=backend,
-        executor=(resolved_executor.name if resolved_executor else ""),
-        shard_stats=shard_stats,
-        diagnostics=list(ckpt.diagnostics) if ckpt is not None else [])
-
-
-# -- input-axis sweeps (symbolic rebind) --------------------------------------
-
-#: ``backend="auto"`` picks the vector backend at this many input points —
-#: below it the batch-replay setup costs more than it saves
-VECTOR_MIN_POINTS = 64
-
-#: floor for the automatic chunk size: chunks smaller than this ship more
-#: pickle traffic than work (and starve the vector backend of lanes)
-_MIN_CHUNK_POINTS = 16
-
-
-def _auto_chunk_size(total: int, workers: int,
-                     vector: bool = False) -> int:
-    """Points per chunk: about four chunks per worker, floored so tiny
-    sweeps on many workers do not degenerate into one-point chunks.
-
-    On a vector-backend sweep (``vector=True``) the floor rises to
-    :data:`VECTOR_MIN_POINTS`: a chunk is one ``rebind_batch`` lane
-    array, and splitting a vector-eligible group below the
-    auto-vectorization threshold would leave its lanes running scalar
-    for no reason.
-    """
-    if total <= 0:
-        return 1
-    if workers <= 1:
-        return total
-    floor = VECTOR_MIN_POINTS if vector else _MIN_CHUNK_POINTS
-    per_worker = -(-total // (workers * 4))
-    return max(1, min(total, max(per_worker, floor)))
-
-
-def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
-                     has_input_axes: bool = True) -> str:
-    """Validate and resolve a sweep's ``backend`` choice.
-
-    ``auto`` picks ``vector`` when it is a clear win: numpy present,
-    input axes to batch over, and at least :data:`VECTOR_MIN_POINTS`
-    points to amortize the batch setup.  Mixed machine×input cell lists
-    qualify too — the grouped dispatch path partitions them into
-    machine-signature lane groups (DESIGN.md §15) so each group replays
-    as one lane array.
-    """
-    if backend not in ("scalar", "vector", "auto"):
-        raise AnalysisError(
-            f"unknown sweep backend {backend!r}; expected 'scalar', "
-            f"'vector', or 'auto'")
-    if backend == "vector":
-        if not _aops.HAVE_NUMPY:
-            raise AnalysisError("backend='vector' requires numpy")
-        if not has_input_axes:
-            raise AnalysisError("the vector backend batches over input "
-                                "axes; this sweep has none")
-        return "vector"
-    if backend == "auto" and _aops.HAVE_NUMPY and has_input_axes \
-            and points >= VECTOR_MIN_POINTS:
-        return "vector"
-    return "scalar"
-
-
-def _checkpoint_settings(backend: str,
-                         model_factory: Optional[Callable],
-                         resolved_executor: Optional[SweepExecutor],
-                         ) -> Dict[str, str]:
-    """Evaluation-semantics fingerprint stored inside a checkpoint.
-
-    A resumed run must produce points comparable with the stored ones,
-    so the checkpoint refuses (``SKOP706``) to merge across a change of
-    backend, cache model, or executor kind — the dimensions that decide
-    *how* a point's numbers were computed, as opposed to *which* points
-    (those live in the sweep key).  The backend is recorded post-
-    resolution: ``auto`` that resolved to ``vector`` is the same
-    semantics as an explicit ``vector``.
-    """
-    return {
-        "backend": backend,
-        "cache_model": factory_tag(model_factory),
-        "executor": resolved_executor.name if resolved_executor is not None
-        else "legacy",
-    }
-
-#: worker-resident symbolic trees: pool workers persist across chunks, so
-#: one recorded build serves every chunk a worker receives for a program
-_SYM_CACHE: Dict[Tuple, SymbolicBET] = {}
-_SYM_CACHE_LIMIT = 8
-
-
-def _symbolic_for(sym: SymbolicBET) -> SymbolicBET:
-    """The worker's resident :class:`SymbolicBET` for ``sym``'s program.
-
-    Shipped instances arrive without tape or tree (they pickle to just the
-    program); keeping the first arrival per content key means later chunks
-    replay an already-recorded tape instead of rebuilding.  Instances with
-    a custom library are not content-keyed and are used as shipped.
-    """
-    if sym.library is not None:
-        return sym
-    key = (sym.program.fingerprint(), sym.entry,
-           repr(sorted(sym.builder_kwargs.items())))
-    cached = _SYM_CACHE.get(key)
-    if cached is None:
-        if len(_SYM_CACHE) >= _SYM_CACHE_LIMIT:
-            _SYM_CACHE.pop(next(iter(_SYM_CACHE)))
-        _SYM_CACHE[key] = cached = sym
-    return cached
-
-
-def clear_symbolic_cache() -> None:
-    """Drop worker-resident symbolic trees (mainly for tests)."""
-    _SYM_CACHE.clear()
-
-
-def _perf_counters() -> Dict[str, float]:
-    """Process-wide expression-layer counters (compile + parse caches)."""
-    from ..expressions import compile_stats, parser_stats
-    compiled = compile_stats()
-    parsed = parser_stats()
-    return {"compile_seconds": float(compiled["compile_seconds"]),
-            "compiles": float(compiled["compiles"]),
-            "compile_cache_hits": float(compiled["cache_hits"]),
-            "parse_cache_hits": float(parsed["cache_hits"])}
-
-
-def _stage_snapshot(sym: SymbolicBET) -> Dict[str, float]:
-    snap = {f"bet_{name}": float(value)
-            for name, value in sym.stats.items()}
-    snap.update(_perf_counters())
-    snap["project_seconds"] = 0.0
-    return snap
-
-
-def _stage_delta(sym: SymbolicBET, before: Dict[str, float],
-                 project_seconds: float) -> Dict[str, float]:
-    after = _stage_snapshot(sym)
-    after["project_seconds"] = project_seconds
-    return {name: after[name] - before.get(name, 0.0)
-            for name in after}
-
-
-#: partition one cell into (machine overrides, input bindings) — the
-#: canonical definition lives with the lane planner in :mod:`.lanes`
-_split_overrides = split_overrides
-
-
-def _run_chunked(items: Sequence,
-                 indices: Sequence[int],
-                 chunk_payload: Callable[[Sequence], Any],
-                 point_payload: Callable[[Any], Any],
-                 chunk_task: Callable,
-                 point_task: Callable,
-                 describe: Callable[[Any], str],
-                 record: Callable[[int, Any], None],
-                 workers: int,
-                 strict: bool,
-                 policy: Optional[RetryPolicy],
-                 timeout: Optional[float],
-                 chunk_size: Optional[int],
-                 executor: Optional[SweepExecutor] = None,
-                 shards: Optional[int] = None,
-                 shard_stats: Optional[Dict[str, float]] = None,
-                 chunks: Optional[List[List[int]]] = None,
-                 vector: bool = False):
-    """Chunked two-phase dispatch shared by the input-sweep paths.
-
-    Phase 1 ships contiguous chunks so each worker amortizes one symbolic
-    build (and the expression-compile warmup) across its whole chunk; the
-    chunk task traps per-point errors, so one bad point never poisons its
-    chunk-mates.  Phase 2 re-dispatches only the failed points one at a
-    time through :func:`resilient_map` whenever retry / timeout / strict
-    semantics are configured — exactly PR 2's per-point fault model —
-    and otherwise converts the captured errors straight into
-    :class:`PointFailure` records.
-
-    ``chunks`` overrides the default contiguous slicing with explicit
-    position lists into ``items`` (they must form a partition) — the
-    grouped vector path passes lane-group-aligned chunks so each shipped
-    chunk is one lane-group slice; results still scatter back through
-    the caller's ``indices``, bit-identically to contiguous dispatch.
-    ``vector=True`` only raises the automatic chunk-size floor to
-    :data:`VECTOR_MIN_POINTS` (lane-group slices should not be starved
-    below the batching threshold).
-
-    With an ``executor``, phase 1 routes through the
-    :class:`~repro.parallel.shard.ShardScheduler` instead of
-    :func:`resilient_map`: each chunk becomes one shard (``shards``
-    overrides the chunk count), dispatched with work-stealing and
-    supervised for crashes, heartbeat loss, timeouts, and envelope
-    corruption.  A shard the scheduler quarantines is terminal — its
-    points become :class:`PointFailure` records directly (phase 2 never
-    sees them), preserving the sweep's completeness accounting.  Points
-    that fail *inside* a healthy shard keep the normal phase-2 per-point
-    semantics, so results are bit-identical to the executor-less path.
-
-    Returns ``(computed, failures, stages)`` where ``computed`` maps the
-    caller's global index to the point value and ``stages`` accumulates
-    per-stage seconds and cache counters across every chunk; scheduler
-    counters are merged into the caller's ``shard_stats`` dict.
-    """
-    total = len(items)
-    if chunks is None:
-        if executor is not None and shards:
-            chunk_size = max(1, -(-total // max(1, int(shards))))
-        elif chunk_size is None:
-            chunk_size = _auto_chunk_size(
-                total, executor.width if executor is not None else workers,
-                vector=vector)
-        chunk_size = max(1, chunk_size)
-        chunks = [list(range(start, min(start + chunk_size, total)))
-                  for start in range(0, total, chunk_size)]
-    else:
-        chunks = [list(positions) for positions in chunks if positions]
-        chunk_size = max((len(positions) for positions in chunks),
-                         default=1)
-    chunk_items = [[items[position] for position in positions]
-                   for positions in chunks]
-    payloads = [chunk_payload(chunk) for chunk in chunk_items]
-
-    computed: Dict[int, Any] = {}
-    fail_rows: Dict[int, Any] = {}
-    stages: Dict[str, float] = {}
-
-    def on_chunk(local: int, result) -> None:
-        rows, stats = result
-        for name, value in stats.items():
-            stages[name] = stages.get(name, 0.0) + value
-        for offset, row in enumerate(rows):
-            global_index = indices[chunks[local][offset]]
-            if row[0] == "ok":
-                computed[global_index] = row[1]
-                record(global_index, row[1])
-            else:
-                fail_rows[global_index] = row
-
-    quarantine_failures: List[PointFailure] = []
-    if executor is not None:
-        scheduler = ShardScheduler(
-            executor, policy=policy,
-            timeout=(timeout * chunk_size if timeout else None))
-        run = scheduler.run(chunk_task, payloads,
-                            sizes=[len(chunk) for chunk in chunk_items],
-                            on_result=on_chunk)
-        if shard_stats is not None:
-            shard_stats.update(run.stats)
-        for shard_id in sorted(run.quarantined):
-            error = run.quarantined[shard_id]
-            if strict:
-                raise error
-            for position in chunks[shard_id]:
-                quarantine_failures.append(PointFailure(
-                    index=indices[position],
-                    error_type=error.error_type,
-                    message=(f"shard {shard_id} quarantined after "
-                             f"{error.attempts} attempts: "
-                             f"{error.message}"),
-                    traceback="", attempts=error.attempts,
-                    item=describe(items[position])))
-    else:
-        outcome = resilient_map(
-            chunk_task, payloads, workers=workers, policy=None,
-            timeout=(timeout * chunk_size if timeout else None),
-            strict=False,
-            describe=lambda payload: f"chunk[{len(payload[2])} points]",
-            on_point=on_chunk)
-        for failure in outcome.failures:
-            for position in chunks[failure.index]:
-                fail_rows[indices[position]] = failure
-
-    failures: List[PointFailure] = []
-    if fail_rows:
-        position = {global_index: local
-                    for local, global_index in enumerate(indices)}
-        targets = sorted(fail_rows)
-        if policy is not None or timeout is not None or strict:
-            # phase 2: the failed points get PR 2's full per-point
-            # semantics — retries with backoff, exact timeouts, fail-fast
-            retry_payloads = [point_payload(items[position[g]])
-                              for g in targets]
-
-            def on_retry(local: int, value) -> None:
-                computed[targets[local]] = value
-                record(targets[local], value)
-
-            retried = resilient_map(
-                point_task, retry_payloads, workers=workers,
-                policy=policy, timeout=timeout, strict=strict,
-                indices=targets,
-                describe=lambda payload: describe(payload[2]),
-                on_point=on_retry)
-            failures = retried.failures
-        else:
-            for global_index in targets:
-                row = fail_rows[global_index]
-                item = describe(items[position[global_index]])
-                if isinstance(row, PointFailure):
-                    failures.append(PointFailure(
-                        index=global_index, error_type=row.error_type,
-                        message=row.message, traceback=row.traceback,
-                        attempts=row.attempts, item=item))
-                else:
-                    failures.append(PointFailure(
-                        index=global_index, error_type=row[1],
-                        message=row[2], traceback=row[3],
-                        attempts=1, item=item))
-    if quarantine_failures:
-        failures = sorted(failures + quarantine_failures,
-                          key=lambda failure: failure.index)
-    return computed, failures, stages
-
-
 @dataclass
 class InputPoint:
     """Projection at one input (workload-parameter) binding."""
@@ -1117,6 +275,454 @@ class InputSweepResult:
         return "\n".join(lines)
 
 
+def _cell_machine(base_machine: MachineModel,
+                  overrides: Dict[str, float]) -> MachineModel:
+    """The derived machine for one grid cell (single source of naming, so
+    checkpoint-resumed points are bit-identical to computed ones).
+
+    ``input:``-prefixed axes describe workload inputs, not machine
+    fields; they appear in the name tag but are not applied as overrides.
+    """
+    tag = ",".join(f"{name}={value:g}"
+                   for name, value in overrides.items())
+    machine_part = {name: value for name, value in overrides.items()
+                    if not name.startswith(INPUT_PREFIX)}
+    return base_machine.with_overrides(
+        name=f"{base_machine.name}[{tag}]", **machine_part)
+
+
+def _projection_values(projection: Dict[str, Any]) -> Tuple:
+    """The trailing fields every point type shares (``runtime``,
+    ``ranking``, ``top_label``, ``memory_fraction``, ``completeness``),
+    in field order, from a computed projection or a checkpoint payload
+    (floats round-trip exactly through JSON, so a resumed point equals a
+    computed one)."""
+    return (projection["runtime"], list(projection["ranking"]),
+            projection["top_label"], projection["memory_fraction"],
+            projection.get("completeness", 1.0))
+
+
+# -- the sweep core -------------------------------------------------------------
+
+#: ``backend="auto"`` picks the vector backend at this many input points —
+#: below it the batch-replay setup costs more than it saves
+VECTOR_MIN_POINTS = 64
+
+#: floor for the automatic chunk size: chunks smaller than this ship more
+#: pickle traffic than work (and starve the vector backend of lanes)
+_MIN_CHUNK_POINTS = 16
+
+
+@dataclass
+class _CellRun:
+    """What the sweep core hands its adapters: one projection dict per
+    cell (``None`` where the cell failed), plus the run's accounting."""
+
+    projections: List[Optional[Dict[str, Any]]]
+    failures: List[PointFailure]
+    timings: Dict[str, float]
+    counters: Dict[str, float]     #: replay/lane/expression counters
+    backend: str
+    executor: str
+    shard_stats: Dict[str, float]
+    diagnostics: List[Any]
+
+
+def _evaluate_cell_list(base_machine: MachineModel,
+                        cells: List[Dict[str, float]],
+                        bet: Optional[BETNode] = None,
+                        model_factory: Optional[Callable] = None,
+                        k: int = 10,
+                        workers: int = 1,
+                        strict: bool = False,
+                        policy: Optional[RetryPolicy] = None,
+                        timeout: Optional[float] = None,
+                        checkpoint: Optional[str] = None,
+                        resume: bool = False,
+                        checkpoint_key: Optional[str] = None,
+                        validate: bool = True,
+                        program: Optional[Program] = None,
+                        inputs: Optional[Dict[str, float]] = None,
+                        entry: str = "main",
+                        library=None,
+                        chunk_size: Optional[int] = None,
+                        backend: str = "auto",
+                        executor=None,
+                        shards: Optional[int] = None,
+                        topology=None,
+                        chaos=None,
+                        describe: Callable[..., str] = overrides_key,
+                        ) -> _CellRun:
+    """The one evaluation path behind every sweep entry point.
+
+    Validates the cells, opens the checkpoint, and dispatches the cells
+    still pending in one of two shapes: cells with input axes (or with
+    no prebuilt ``bet``) go through chunked :func:`_run_chunked` dispatch
+    over :class:`~repro.bet.SymbolicBET` rebinds, lane-planned on the
+    vector backend; machine-only cells re-project ``bet`` one point per
+    :func:`resilient_map` task (or one shard of points per executor
+    task).  Projections come back as plain dicts: each adapter builds its
+    own point type, so per-cell machines are only constructed where the
+    result carries them.  ``describe`` renders a cell into its
+    :class:`PointFailure` label.
+    """
+    if not cells:
+        raise AnalysisError("evaluate_cells needs at least one cell")
+    names = dict.fromkeys(name for cell in cells for name in cell)
+    input_names = [name for name in names if name.startswith(INPUT_PREFIX)]
+    machine_names = [name for name in names
+                     if not name.startswith(INPUT_PREFIX)]
+    for name in machine_names:
+        if not hasattr(base_machine, name):
+            raise AnalysisError(f"machine has no parameter {name!r}")
+    if input_names and program is None:
+        raise AnalysisError(
+            f"cells override workload inputs {sorted(input_names)}; "
+            "pass program= (and optionally inputs=)")
+    if bet is None and program is None:
+        raise AnalysisError("machine-only cells need a built BET (bet=) "
+                            "or a program=")
+    symbolic = bool(input_names) or bet is None
+    if validate:
+        ensure_valid_machine(base_machine)
+    started = time.perf_counter()
+    base_inputs = dict(inputs or {})
+    backend = _resolve_backend(backend, len(cells),
+                               has_machine_axes=bool(machine_names),
+                               has_input_axes=symbolic)
+    resolved_executor: Optional[SweepExecutor] = None
+    if executor is not None:
+        resolved_executor = resolve_executor(executor, workers=workers,
+                                             topology=topology, chaos=chaos)
+
+    ckpt: Optional[SweepCheckpoint] = None
+    if checkpoint:
+        cell_keys = tuple(overrides_key(cell) for cell in cells)
+        key = checkpoint_key or (
+            sweep_key(program.fingerprint(),
+                      tuple(sorted(base_inputs.items())), entry,
+                      repr(base_machine), cell_keys, k)
+            if symbolic else
+            sweep_key(render_tree(bet), repr(base_machine), cell_keys, k))
+        ckpt = SweepCheckpoint.load(
+            checkpoint, key, resume=resume,
+            settings=_checkpoint_settings(backend, model_factory,
+                                          resolved_executor))
+        if any(not isinstance(payload, dict) or "overrides" not in payload
+               for payload in ckpt.completed.values()):
+            raise CheckpointError(
+                f"[SKOP706] checkpoint {checkpoint} holds points in a "
+                "format this engine no longer writes (an older "
+                "sweep_machine or sweep_inputs file); delete it or drop "
+                "--resume")
+
+    projections: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+    pending_indices: List[int] = []
+    for index, cell in enumerate(cells):
+        stored = ckpt.get(overrides_key(cell)) if ckpt else None
+        if stored is not None:
+            projections[index] = stored
+        else:
+            pending_indices.append(index)
+    resumed = len(cells) - len(pending_indices)
+    pending_cells = [cells[index] for index in pending_indices]
+
+    def record(index: int, projection: Dict[str, Any]) -> None:
+        projections[index] = projection
+        if ckpt is not None:
+            cell = cells[index]
+            ckpt.record(overrides_key(cell),
+                        {"overrides": dict(cell), **projection})
+
+    source: Any = (SymbolicBET(program, entry=entry, library=library)
+                   if symbolic else bet)
+
+    def point_payload(cell):
+        return (source, base_machine, cell, base_inputs, model_factory, k)
+
+    stages: Dict[str, float] = {}
+    shard_stats: Dict[str, float] = {}
+    try:
+        if symbolic or resolved_executor is not None:
+            size = _chunk_size(len(pending_cells), workers,
+                               resolved_executor, shards, chunk_size,
+                               vector=(backend == "vector"))
+            if backend == "vector":
+                # grouped dispatch (DESIGN.md §15): every chunk is one
+                # lane-group slice, shipped as a columnar LanePack, or a
+                # slice of the unbatchable residue
+                chunks = plan_lane_chunks(pending_cells, size)
+            else:
+                chunks = [list(range(start, min(start + size,
+                                                 len(pending_cells))))
+                          for start in range(0, len(pending_cells), size)]
+
+            def chunk_payload(chunk):
+                if not symbolic:
+                    return (_cell_point_task,
+                            [point_payload(cell) for cell in chunk])
+                signature = (cell_signature(chunk[0])
+                             if backend == "vector" else None)
+                shipped = (pack_group(chunk, signature) if signature
+                           else list(chunk))
+                return (source, base_machine, shipped, base_inputs,
+                        model_factory, k)
+
+            failures, stages = _run_chunked(
+                pending_cells, pending_indices, chunks,
+                chunk_payload=chunk_payload, point_payload=point_payload,
+                chunk_task=(_cell_chunk_task if symbolic
+                            else _point_chunk_task),
+                point_task=_cell_point_task, describe=describe,
+                record=record, workers=workers, strict=strict,
+                policy=policy, timeout=timeout,
+                executor=resolved_executor, shard_stats=shard_stats)
+        else:
+            failures = resilient_map(
+                _cell_point_task,
+                [point_payload(cell) for cell in pending_cells],
+                workers=workers, policy=policy, timeout=timeout,
+                strict=strict, indices=pending_indices,
+                describe=lambda payload: describe(payload[2]),
+                on_point=lambda local, projection: record(
+                    pending_indices[local], projection)).failures
+    finally:
+        if ckpt is not None:
+            ckpt.flush()
+
+    elapsed = time.perf_counter() - started
+    timings = {"project": stages.get("project_seconds", elapsed),
+               "total": elapsed,
+               "workers": float(max(workers, 1)),
+               "points": float(sum(projection is not None
+                                   for projection in projections)),
+               "failed": float(len(failures)),
+               "resumed": float(resumed)}
+    counters: Dict[str, float] = {}
+    if symbolic:
+        timings.update(
+            build=stages.get("bet_build_seconds", 0.0),
+            rebind=stages.get("bet_replay_seconds", 0.0),
+            batch=stages.get("bet_batch_seconds", 0.0),
+            compile=stages.get("compile_seconds", 0.0))
+        counters = {
+            "bet_builds": stages.get("bet_builds", 0.0),
+            "bet_replays": stages.get("bet_replays", 0.0),
+            "bet_shape_rebuilds": stages.get("bet_shape_rebuilds", 0.0),
+            "bet_batch_replays": stages.get("bet_batch_replays", 0.0),
+            "lanes_vectorized": stages.get("bet_lanes_vectorized", 0.0),
+            "lanes_fallback": stages.get("bet_lanes_fallback", 0.0),
+            "lane_groups": stages.get("lane_groups", 0.0),
+            "compiles": stages.get("compiles", 0.0),
+            "compile_cache_hits": stages.get("compile_cache_hits", 0.0),
+            "parse_cache_hits": stages.get("parse_cache_hits", 0.0)}
+    return _CellRun(
+        projections=projections, failures=failures, timings=timings,
+        counters=counters, backend=backend,
+        executor=(resolved_executor.name if resolved_executor else ""),
+        shard_stats=shard_stats,
+        diagnostics=list(ckpt.diagnostics) if ckpt is not None else [])
+
+
+# -- the public entry points (adapters over the core) ---------------------------
+
+def evaluate_cells(base_machine: MachineModel,
+                   cells: Sequence[Dict[str, float]],
+                   bet: Optional[BETNode] = None,
+                   model_factory: Optional[Callable] = None,
+                   k: int = 10,
+                   workers: int = 1,
+                   strict: bool = False,
+                   policy: Optional[RetryPolicy] = None,
+                   timeout: Optional[float] = None,
+                   checkpoint: Optional[str] = None,
+                   resume: bool = False,
+                   checkpoint_key: Optional[str] = None,
+                   validate: bool = True,
+                   program: Optional[Program] = None,
+                   inputs: Optional[Dict[str, float]] = None,
+                   entry: str = "main",
+                   library=None,
+                   chunk_size: Optional[int] = None,
+                   backend: str = "auto",
+                   executor=None,
+                   shards: Optional[int] = None,
+                   topology=None,
+                   chaos=None) -> GridResult:
+    """Project an *explicit list* of machine×input cells, exactly.
+
+    The caller names each cell — a dict of machine-field and/or
+    ``input:<name>`` overrides — and gets one :class:`GridPoint` per cell
+    (in order, failures recorded aside), computed through the chunked
+    dispatch, vector backend, retry, checkpoint, and executor machinery
+    that every sweep entry point shares (:func:`sweep_grid` is the cross
+    product of a grid spec fed through here).  This is also the
+    evaluation primitive of the :mod:`repro.explore` active-learning
+    loop, which acquires scattered index sets of a lazy
+    :class:`~repro.explore.GridSpace` rather than dense boxes.
+
+    ``result.grid`` is the union of the cells' axes, each axis's values
+    in first-encounter order.  ``checkpoint_key`` should be passed when
+    the same checkpoint file accumulates several calls over one logical
+    space (the explorer keys it by the space fingerprint); the default
+    key hashes the exact cell list, so different batches would otherwise
+    refuse to share a file.  Other parameters match :func:`sweep_grid`.
+    """
+    cells = list(cells)
+    run = _evaluate_cell_list(
+        base_machine, cells, bet=bet, model_factory=model_factory, k=k,
+        workers=workers, strict=strict, policy=policy, timeout=timeout,
+        checkpoint=checkpoint, resume=resume,
+        checkpoint_key=checkpoint_key, validate=validate, program=program,
+        inputs=inputs, entry=entry, library=library,
+        chunk_size=chunk_size, backend=backend, executor=executor,
+        shards=shards, topology=topology, chaos=chaos)
+    # the axis union; a dict per axis keeps first-encounter order and
+    # dedups equal values (1 == 1.0) in one pass
+    union: Dict[str, Dict[Any, None]] = {}
+    for cell in cells:
+        for name, value in cell.items():
+            union.setdefault(name, {})[value] = None
+    cache_stats = bet_cache_stats().as_dict()
+    cache_stats.update(run.counters)
+    return GridResult(
+        grid={name: list(values) for name, values in union.items()},
+        points=[GridPoint(dict(cell), _cell_machine(base_machine, cell),
+                          *_projection_values(projection))
+                for cell, projection in zip(cells, run.projections)
+                if projection is not None],
+        timings=run.timings, cache_stats=cache_stats,
+        failures=run.failures, backend=run.backend,
+        executor=run.executor, shard_stats=run.shard_stats,
+        diagnostics=run.diagnostics)
+
+
+def _default_grid_key(bet: Optional[BETNode], base_machine: MachineModel,
+                      grid: Dict[str, Sequence[float]], k: int,
+                      program: Optional[Program] = None,
+                      inputs: Optional[Dict[str, float]] = None,
+                      entry: str = "main") -> str:
+    """Content key tying a grid checkpoint to (tree or program + inputs,
+    machine, grid, k)."""
+    spec = sorted((name, tuple(values)) for name, values in grid.items())
+    if program is not None and (bet is None or any(
+            name.startswith(INPUT_PREFIX) for name in grid)):
+        return sweep_key(program.fingerprint(),
+                         tuple(sorted((inputs or {}).items())), entry,
+                         repr(base_machine), spec, k)
+    return sweep_key(render_tree(bet), repr(base_machine), spec, k)
+
+
+def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
+               grid: Dict[str, Sequence[float]],
+               model_factory: Optional[Callable] = None,
+               k: int = 10,
+               workers: int = 1,
+               strict: bool = False,
+               policy: Optional[RetryPolicy] = None,
+               timeout: Optional[float] = None,
+               checkpoint: Optional[str] = None,
+               resume: bool = False,
+               checkpoint_key: Optional[str] = None,
+               validate: bool = True,
+               program: Optional[Program] = None,
+               inputs: Optional[Dict[str, float]] = None,
+               entry: str = "main",
+               library=None,
+               chunk_size: Optional[int] = None,
+               backend: str = "auto",
+               executor=None,
+               shards: Optional[int] = None,
+               topology=None,
+               chaos=None) -> GridResult:
+    """Project one BET over the cross product of machine parameters.
+
+    The cross product of ``grid`` is evaluated by :func:`evaluate_cells`
+    (DESIGN.md §8); only the cell order, ``result.grid`` and the default
+    checkpoint key are grid-specific.
+
+    Parameters
+    ----------
+    bet:
+        A built BET (machine independent; shared by every cell).  May be
+        ``None`` when ``program`` is given and every axis is an input
+        axis.
+    base_machine:
+        The machine whose fields are overridden per cell.
+    grid:
+        ``{parameter: values, ...}`` — cells are the cross product, in
+        row-major order (last parameter varies fastest).  An axis named
+        ``input:<name>`` sweeps the workload input ``<name>`` instead of
+        a machine field; such grids require ``program`` and are routed
+        through :class:`~repro.bet.SymbolicBET` rebinds with chunked
+        dispatch (list input axes first so consecutive cells share a
+        binding).
+    workers:
+        Process-pool width; ``1`` runs serially.  Ordering and values are
+        identical either way.
+    strict:
+        ``False`` (default): a failing cell becomes a
+        :class:`~repro.parallel.PointFailure` on ``result.failures`` while
+        every healthy cell completes.  ``True`` restores fail-fast
+        (:class:`~repro.errors.RetryExhaustedError` /
+        :class:`~repro.errors.TaskTimeoutError`).
+    policy:
+        :class:`~repro.parallel.RetryPolicy` for transient faults
+        (default: no retries).
+    timeout:
+        Per-cell bound in seconds, enforced on the parallel path.
+    checkpoint / resume / checkpoint_key:
+        Path for periodic JSON checkpoints of completed cells;
+        ``resume=True`` skips cells already checkpointed (the key —
+        defaulting to a hash of the rendered BET, the machine, and the
+        grid — must match, else :class:`~repro.errors.CheckpointError`).
+    validate:
+        Pre-flight the base machine
+        (:func:`~repro.hardware.validate_machine`) before any work.
+    program / inputs / entry / library:
+        The workload behind ``input:`` axes: per-cell bindings are
+        ``inputs`` overlaid with the cell's input-axis values.
+    chunk_size:
+        Cells per shipped chunk on the input-axis path (default: about
+        four chunks per worker, floored at 16 cells).
+    backend:
+        ``"scalar"``, ``"vector"``, or ``"auto"`` (default).  The vector
+        backend batch-replays the input axes of each lane group (cells
+        sharing machine overrides); ``auto`` selects it for input grids
+        of at least :data:`VECTOR_MIN_POINTS` cells.
+    executor / shards / topology / chaos:
+        Sharded dispatch (DESIGN.md §12).  ``executor`` names a
+        :class:`~repro.parallel.executors.SweepExecutor` (``"serial"`` /
+        ``"pool"`` / ``"multinode"``) or is an instance; the grid is
+        split into ``shards`` work units (default: about four per
+        executor worker) scheduled with work-stealing, crash/heartbeat
+        supervision, and poison-shard quarantine.  ``topology`` selects
+        the simulated cluster for ``"multinode"``; ``chaos`` injects a
+        :class:`~repro.parallel.chaos.ChaosSchedule` of executor-layer
+        faults.  ``executor=None`` (default) keeps the legacy dispatch
+        path, bit-identically.
+    """
+    if not grid or any(len(list(values)) == 0 for values in grid.values()):
+        raise AnalysisError("grid needs at least one value per parameter")
+    names = list(grid)
+    cells = [dict(zip(names, combo))
+             for combo in itertools.product(*(grid[name] for name in names))]
+    if checkpoint and not checkpoint_key and (bet is not None
+                                              or program is not None):
+        checkpoint_key = _default_grid_key(bet, base_machine, grid, k,
+                                           program, inputs, entry)
+    result = evaluate_cells(
+        base_machine, cells, bet=bet, model_factory=model_factory, k=k,
+        workers=workers, strict=strict, policy=policy, timeout=timeout,
+        checkpoint=checkpoint, resume=resume,
+        checkpoint_key=checkpoint_key, validate=validate, program=program,
+        inputs=inputs, entry=entry, library=library,
+        chunk_size=chunk_size, backend=backend, executor=executor,
+        shards=shards, topology=topology, chaos=chaos)
+    result.grid = {name: list(values) for name, values in grid.items()}
+    return result
+
+
 def _input_combos(axes) -> Tuple[Dict[str, List[float]],
                                  List[Dict[str, float]]]:
     """Normalize an axes dict or explicit point list into point dicts."""
@@ -1134,134 +740,6 @@ def _input_combos(axes) -> Tuple[Dict[str, List[float]],
     if not combos:
         raise AnalysisError("input sweep needs at least one point")
     return {}, combos
-
-
-def _soa_columns(points: List[Dict[str, float]]
-                 ) -> Optional[Dict[str, List[float]]]:
-    """Structure-of-arrays transpose of uniform numeric point dicts.
-
-    Returns ``None`` when the points cannot be batched: ragged key sets
-    or non-numeric / bool values (the scalar path handles those).
-    """
-    if not points or not points[0]:
-        return None
-    names = points[0].keys()
-    cols: Dict[str, List[float]] = {name: [] for name in names}
-    for point in points:
-        if point.keys() != names:
-            return None
-        for name, value in point.items():
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
-                return None
-            cols[name].append(value)
-    return cols
-
-
-def _vector_input_rows(sym: SymbolicBET, model, combos, base_inputs,
-                       k: int):
-    """Batch-evaluate a chunk of input points through the vector backend.
-
-    Returns ``(rows, project_seconds)`` — one row per combo, in order —
-    or ``None`` when the chunk cannot be batched at all (the caller runs
-    the scalar loop instead).  Lanes the batch masks out are transparently
-    re-routed through scalar rebinds, reproducing the canonical per-point
-    result or error.
-    """
-    points = [{**base_inputs, **combo} for combo in combos]
-    cols = _soa_columns(points)
-    if cols is None:
-        return None
-    try:
-        batch = sym.rebind_batch(cols)
-        started = time.perf_counter()
-        projections = project_batch(batch, model, k)
-        project_seconds = time.perf_counter() - started
-    except Exception:
-        return None
-    rows = []
-    for lane, projection in enumerate(projections):
-        if projection is None:
-            # fallback lane: the scalar path is the source of truth for
-            # both the value and the canonical error
-            try:
-                bet = sym.bind(points[lane])
-                started = time.perf_counter()
-                projection = project_with_model(bet, model, k)
-                project_seconds += time.perf_counter() - started
-            except Exception as exc:
-                rows.append(("fail", type(exc).__name__, str(exc),
-                             _tb.format_exc()))
-                continue
-        rows.append(("ok", projection))
-    return rows, project_seconds
-
-
-def _input_chunk_task(payload):
-    """Process-pool task: bind + project a whole chunk of input points.
-
-    One symbolic build (first chunk per worker; replays after) amortizes
-    across every point; per-point errors are captured as rows, never
-    raised, so chunk-mates always complete.  With ``backend="vector"``
-    the whole chunk is evaluated as one batch replay (arrays serialized
-    once per chunk), falling back to the scalar loop when batching is
-    impossible.
-    """
-    sym, machine, combos, base_inputs, model_factory, k = payload[:6]
-    backend = payload[6] if len(payload) > 6 else "scalar"
-    sym = _symbolic_for(sym)
-    before = _stage_snapshot(sym)
-    # the machine is fixed across an input sweep: build (and validate)
-    # the timing model once per chunk, not once per point
-    model = (model_factory or RooflineModel)(machine)
-    if backend == "vector":
-        vectored = _vector_input_rows(sym, model, combos, base_inputs, k)
-        if vectored is not None:
-            rows, project_seconds = vectored
-            delta = _stage_delta(sym, before, project_seconds)
-            delta["lane_groups"] = 1.0   # one lane array per input chunk
-            return rows, delta
-    project_seconds = 0.0
-    rows = []
-    for combo in combos:
-        try:
-            bet = sym.bind({**base_inputs, **combo})
-            started = time.perf_counter()
-            projection = project_with_model(bet, model, k)
-            project_seconds += time.perf_counter() - started
-            rows.append(("ok", projection))
-        except Exception as exc:              # captured, re-raised in phase 2
-            rows.append(("fail", type(exc).__name__, str(exc),
-                         _tb.format_exc()))
-    return rows, _stage_delta(sym, before, project_seconds)
-
-
-def _input_point_task(payload):
-    """Process-pool task: one input point (phase-2 / retry dispatch)."""
-    sym, machine, combo, base_inputs, model_factory, k = payload
-    sym = _symbolic_for(sym)
-    bet = sym.bind({**base_inputs, **combo})
-    return project_machine(bet, machine, model_factory, k)
-
-
-def _input_point_to_dict(projection: Dict[str, Any]) -> Dict[str, Any]:
-    return {"runtime": projection["runtime"],
-            "ranking": list(projection["ranking"]),
-            "top_label": projection["top_label"],
-            "memory_fraction": projection["memory_fraction"],
-            "completeness": projection.get("completeness", 1.0)}
-
-
-def _default_input_key(program: Program, machine: MachineModel,
-                       axes: Dict[str, List[float]],
-                       combos: List[Dict[str, float]],
-                       base_inputs: Dict[str, float],
-                       entry: str, k: int) -> str:
-    return sweep_key(
-        program.fingerprint(), repr(machine),
-        sorted((name, tuple(values)) for name, values in axes.items())
-        if axes else [tuple(sorted(combo.items())) for combo in combos],
-        tuple(sorted(base_inputs.items())), entry, k)
 
 
 def sweep_inputs(program: Program, machine: MachineModel, axes,
@@ -1290,9 +768,10 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
     this routes *input*-axis points through
     :meth:`~repro.bet.SymbolicBET.rebind`: the tree structure is built
     (and its expressions compiled) once, then each point replays only the
-    input-dependent annotations.  Points are shipped in contiguous
-    chunks, so each worker amortizes one recorded build across its whole
-    chunk; results are bit-identical to building a fresh BET per point.
+    input-dependent annotations.  Each point is an ``input:``-prefixed
+    cell of the :func:`evaluate_cells` core, so points ship in chunks and
+    each worker amortizes one recorded build across its whole chunk;
+    results are bit-identical to building a fresh BET per point.
 
     Parameters
     ----------
@@ -1306,7 +785,7 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
         Points per shipped chunk (default: spread pending points about
         four chunks per worker; serial runs use one chunk).
     strict / policy / timeout / checkpoint / resume / checkpoint_key:
-        PR 2's fault semantics, preserved per *point*: failed points are
+        The per-point fault semantics: failed points are
         retried individually under ``policy`` with exact per-point
         ``timeout``; ``strict=True`` fail-fasts with the canonical error;
         completed points checkpoint by their input bindings and are
@@ -1325,178 +804,372 @@ def sweep_inputs(program: Program, machine: MachineModel, axes,
     """
     axes_dict, combos = _input_combos(axes)
     base = dict(base_inputs or {})
-    backend = _resolve_backend(backend, len(combos),
-                               has_machine_axes=False)
-    resolved_executor: Optional[SweepExecutor] = None
-    if executor is not None:
-        resolved_executor = resolve_executor(executor, workers=workers,
-                                             topology=topology, chaos=chaos)
-    shard_stats: Dict[str, float] = {}
-    if validate:
-        ensure_valid_machine(machine)
-    started = time.perf_counter()
-
-    ckpt: Optional[SweepCheckpoint] = None
-    if checkpoint:
-        key = checkpoint_key or _default_input_key(
-            program, machine, axes_dict, combos, base, entry, k)
-        ckpt = SweepCheckpoint.load(
-            checkpoint, key, resume=resume,
-            settings=_checkpoint_settings(backend, model_factory,
-                                          resolved_executor))
-
-    prior: Dict[int, Dict[str, Any]] = {}
-    pending_indices: List[int] = []
-    pending_combos: List[Dict[str, float]] = []
-    for index, combo in enumerate(combos):
-        stored = ckpt.get(overrides_key(combo)) if ckpt else None
-        if stored is not None:
-            prior[index] = stored
-        else:
-            pending_indices.append(index)
-            pending_combos.append(combo)
-
-    sym = SymbolicBET(program, entry=entry, library=library)
-
-    def record(global_index: int, projection: Dict[str, Any]) -> None:
-        if ckpt is not None:
-            ckpt.record(overrides_key(combos[global_index]),
-                        _input_point_to_dict(projection))
-
-    try:
-        computed, failures, stages = _run_chunked(
-            pending_combos, pending_indices,
-            chunk_payload=lambda chunk: (sym, machine, list(chunk), base,
-                                         model_factory, k, backend),
-            point_payload=lambda combo: (sym, machine, combo, base,
-                                         model_factory, k),
-            chunk_task=_input_chunk_task, point_task=_input_point_task,
-            describe=overrides_key, record=record,
-            workers=workers, strict=strict, policy=policy,
-            timeout=timeout, chunk_size=chunk_size,
-            executor=resolved_executor, shards=shards,
-            shard_stats=shard_stats, vector=(backend == "vector"))
-    finally:
-        if ckpt is not None:
-            ckpt.flush()
-
-    points = []
-    for index, combo in enumerate(combos):
-        projection = prior.get(index) or computed.get(index)
-        if projection is not None:
-            points.append(InputPoint(inputs=dict(combo),
-                                     runtime=projection["runtime"],
-                                     ranking=list(projection["ranking"]),
-                                     top_label=projection["top_label"],
-                                     memory_fraction=projection[
-                                         "memory_fraction"],
-                                     completeness=projection.get(
-                                         "completeness", 1.0)))
-    elapsed = time.perf_counter() - started
-    timings = {"build": stages.get("bet_build_seconds", 0.0),
-               "rebind": stages.get("bet_replay_seconds", 0.0),
-               "batch": stages.get("bet_batch_seconds", 0.0),
-               "compile": stages.get("compile_seconds", 0.0),
-               "project": stages.get("project_seconds", 0.0),
-               "total": elapsed,
-               "workers": float(max(workers, 1)),
-               "points": float(len(points)),
-               "failed": float(len(failures)),
-               "resumed": float(len(prior))}
-    cache_stats = {"bet_builds": stages.get("bet_builds", 0.0),
-                   "bet_replays": stages.get("bet_replays", 0.0),
-                   "bet_shape_rebuilds": stages.get("bet_shape_rebuilds",
-                                                    0.0),
-                   "bet_batch_replays": stages.get("bet_batch_replays",
-                                                   0.0),
-                   "lanes_vectorized": stages.get("bet_lanes_vectorized",
-                                                  0.0),
-                   "lanes_fallback": stages.get("bet_lanes_fallback",
-                                                0.0),
-                   "lane_groups": stages.get("lane_groups", 0.0),
-                   "compiles": stages.get("compiles", 0.0),
-                   "compile_cache_hits": stages.get("compile_cache_hits",
-                                                    0.0),
-                   "parse_cache_hits": stages.get("parse_cache_hits",
-                                                  0.0)}
+    if checkpoint and not checkpoint_key:
+        checkpoint_key = sweep_key(
+            program.fingerprint(), repr(machine),
+            sorted((name, tuple(values)) for name, values in axes_dict.items())
+            if axes_dict else [tuple(sorted(combo.items()))
+                               for combo in combos],
+            tuple(sorted(base.items())), entry, k)
+    run = _evaluate_cell_list(
+        machine, [{INPUT_PREFIX + name: value
+                   for name, value in combo.items()} for combo in combos],
+        model_factory=model_factory, k=k, workers=workers, strict=strict,
+        policy=policy, timeout=timeout, checkpoint=checkpoint,
+        resume=resume, checkpoint_key=checkpoint_key, validate=validate,
+        program=program, inputs=base, entry=entry, library=library,
+        chunk_size=chunk_size, backend=backend, executor=executor,
+        shards=shards, topology=topology, chaos=chaos,
+        describe=lambda cell: overrides_key(split_overrides(cell)[1]))
     return InputSweepResult(
         axes=axes_dict, base_inputs=base,
-        points=points, timings=timings,
-        cache_stats=cache_stats, failures=failures,
-        backend=backend,
-        executor=(resolved_executor.name if resolved_executor else ""),
-        shard_stats=shard_stats,
-        diagnostics=list(ckpt.diagnostics) if ckpt is not None else [])
+        points=[InputPoint(dict(combo), *_projection_values(projection))
+                for combo, projection in zip(combos, run.projections)
+                if projection is not None],
+        timings=run.timings, cache_stats=run.counters,
+        failures=run.failures, backend=run.backend, executor=run.executor,
+        shard_stats=run.shard_stats, diagnostics=run.diagnostics)
 
 
-def _vector_grid_rows(sym: SymbolicBET, base_machine: MachineModel,
-                      cells, base_inputs, model_factory, k: int):
-    """Batch-evaluate a chunk of grid cells, grouped by machine overrides.
+# -- dispatch -------------------------------------------------------------------
 
-    Cells sharing one set of machine overrides form an input batch
-    against a single timing model (our models depend only on the
-    machine's numeric fields, which are identical across a group).
-    Each group's lane array carries the group's slot positions as a
-    non-contiguous lane index map, so :func:`project_batch` scatters
-    results straight back into chunk order.  Returns ``(rows,
-    project_seconds, lane_groups)``; lanes that cannot be vectorized
-    fall back to the scalar per-cell path.
+def _auto_chunk_size(total: int, workers: int,
+                     vector: bool = False) -> int:
+    """Points per chunk: about four chunks per worker, floored so tiny
+    sweeps on many workers do not degenerate into one-point chunks.
+
+    On a vector-backend sweep (``vector=True``) the floor rises to
+    :data:`VECTOR_MIN_POINTS`: a chunk is one ``rebind_batch`` lane
+    array, and splitting a vector-eligible group below the
+    auto-vectorization threshold would leave its lanes running scalar
+    for no reason.
     """
-    groups: Dict[Tuple, List[int]] = {}
-    order: List[Tuple] = []
-    for slot, overrides in enumerate(cells):
-        machine_part, _ = _split_overrides(overrides)
-        key = tuple(sorted(machine_part.items()))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(slot)
-    rows: List[Any] = [None] * len(cells)
-    scattered: List[Optional[Dict]] = [None] * len(cells)
+    if total <= 0:
+        return 1
+    if workers <= 1:
+        return total
+    floor = VECTOR_MIN_POINTS if vector else _MIN_CHUNK_POINTS
+    per_worker = -(-total // (workers * 4))
+    return max(1, min(total, max(per_worker, floor)))
+
+
+def _chunk_size(total: int, workers: int,
+                executor: Optional[SweepExecutor], shards: Optional[int],
+                chunk_size: Optional[int], vector: bool) -> int:
+    """Cells per shipped chunk: ``shards`` splits the cells evenly on an
+    executor, else an explicit ``chunk_size`` wins, else
+    :func:`_auto_chunk_size` over the dispatch width."""
+    if executor is not None and shards:
+        return max(1, -(-total // max(1, int(shards))))
+    if chunk_size is not None:
+        return max(1, chunk_size)
+    return _auto_chunk_size(
+        total, executor.width if executor is not None else workers,
+        vector=vector)
+
+
+def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
+                     has_input_axes: bool = True) -> str:
+    """Validate and resolve a sweep's ``backend`` choice.
+
+    ``auto`` picks ``vector`` when it is a clear win: numpy present,
+    input axes to batch over, and at least :data:`VECTOR_MIN_POINTS`
+    points to amortize the batch setup.  Mixed machine×input cell lists
+    qualify too — the grouped dispatch path partitions them into
+    machine-signature lane groups (DESIGN.md §15) so each group replays
+    as one lane array.
+    """
+    if backend not in ("scalar", "vector", "auto"):
+        raise AnalysisError(
+            f"unknown sweep backend {backend!r}; expected 'scalar', "
+            f"'vector', or 'auto'")
+    if backend == "vector":
+        if not _aops.HAVE_NUMPY:
+            raise AnalysisError("backend='vector' requires numpy")
+        if not has_input_axes:
+            raise AnalysisError("the vector backend batches over input "
+                                "axes; this sweep has none")
+        return "vector"
+    if backend == "auto" and _aops.HAVE_NUMPY and has_input_axes \
+            and points >= VECTOR_MIN_POINTS:
+        return "vector"
+    return "scalar"
+
+
+def _checkpoint_settings(backend: str,
+                         model_factory: Optional[Callable],
+                         resolved_executor: Optional[SweepExecutor],
+                         ) -> Dict[str, str]:
+    """Evaluation-semantics fingerprint stored inside a checkpoint.
+
+    A resumed run must produce points comparable with the stored ones,
+    so the checkpoint refuses (``SKOP706``) to merge across a change of
+    backend, cache model, or executor kind — the dimensions that decide
+    *how* a point's numbers were computed, as opposed to *which* points
+    (those live in the sweep key).  The backend is recorded post-
+    resolution: ``auto`` that resolved to ``vector`` is the same
+    semantics as an explicit ``vector``.
+    """
+    return {
+        "backend": backend,
+        "cache_model": factory_tag(model_factory),
+        "executor": resolved_executor.name if resolved_executor is not None
+        else "legacy",
+    }
+
+
+def _run_chunked(items: Sequence,
+                 indices: Sequence[int],
+                 chunks: List[List[int]],
+                 chunk_payload: Callable[[Sequence], Any],
+                 point_payload: Callable[[Any], Any],
+                 chunk_task: Callable,
+                 point_task: Callable,
+                 describe: Callable[[Any], str],
+                 record: Callable[[int, Any], None],
+                 workers: int,
+                 strict: bool,
+                 policy: Optional[RetryPolicy],
+                 timeout: Optional[float],
+                 executor: Optional[SweepExecutor] = None,
+                 shard_stats: Optional[Dict[str, float]] = None):
+    """Chunked two-phase dispatch of the sweep core.
+
+    ``chunks`` are position lists into ``items`` forming a partition —
+    contiguous slices, or lane-group slices from
+    :func:`~repro.parallel.lanes.plan_lane_chunks`; results scatter back
+    through the caller's ``indices`` either way.  Phase 1 ships each
+    chunk as one task so a worker amortizes one symbolic build (and the
+    expression-compile warmup) across the chunk; the chunk task traps
+    per-point errors, so one bad point never poisons its chunk-mates.
+    Phase 2 re-dispatches only the failed points one at a time through
+    :func:`resilient_map` whenever retry / timeout / strict semantics are
+    configured — exactly the per-point fault model — and otherwise
+    converts the captured errors straight into :class:`PointFailure`
+    records.
+
+    With an ``executor``, phase 1 routes through the
+    :class:`~repro.parallel.shard.ShardScheduler` instead of
+    :func:`resilient_map`: each chunk becomes one shard, dispatched with
+    work-stealing and supervised for crashes, heartbeat loss, timeouts,
+    and envelope corruption.  A shard the scheduler quarantines is
+    terminal — its points become :class:`PointFailure` records directly
+    (phase 2 never sees them), preserving the sweep's completeness
+    accounting.  Points that fail *inside* a healthy shard keep the
+    normal phase-2 per-point semantics, so results are bit-identical to
+    the executor-less path.
+
+    Every computed point goes to ``record(global_index, value)``.
+    Returns ``(failures, stages)`` where ``stages`` accumulates per-stage
+    seconds and cache counters across every chunk; scheduler counters
+    are merged into the caller's ``shard_stats`` dict.
+    """
+    chunk_size = max((len(positions) for positions in chunks), default=1)
+    chunk_items = [[items[position] for position in positions]
+                   for positions in chunks]
+    payloads = [chunk_payload(chunk) for chunk in chunk_items]
+
+    fail_rows: Dict[int, Any] = {}
+    stages: Dict[str, float] = {}
+
+    def on_chunk(local: int, result) -> None:
+        rows, stats = result
+        for name, value in stats.items():
+            stages[name] = stages.get(name, 0.0) + value
+        for offset, row in enumerate(rows):
+            global_index = indices[chunks[local][offset]]
+            if row[0] == "ok":
+                record(global_index, row[1])
+            else:
+                fail_rows[global_index] = row
+
+    quarantine_failures: List[PointFailure] = []
+    if executor is not None:
+        scheduler = ShardScheduler(
+            executor, policy=policy,
+            timeout=(timeout * chunk_size if timeout else None))
+        run = scheduler.run(chunk_task, payloads,
+                            sizes=[len(chunk) for chunk in chunk_items],
+                            on_result=on_chunk)
+        if shard_stats is not None:
+            shard_stats.update(run.stats)
+        for shard_id in sorted(run.quarantined):
+            error = run.quarantined[shard_id]
+            if strict:
+                raise error
+            for position in chunks[shard_id]:
+                quarantine_failures.append(PointFailure(
+                    index=indices[position],
+                    error_type=error.error_type,
+                    message=(f"shard {shard_id} quarantined after "
+                             f"{error.attempts} attempts: "
+                             f"{error.message}"),
+                    traceback="", attempts=error.attempts,
+                    item=describe(items[position])))
+    else:
+        outcome = resilient_map(
+            chunk_task, payloads, workers=workers, policy=None,
+            timeout=(timeout * chunk_size if timeout else None),
+            strict=False,
+            describe=lambda payload: f"chunk[{len(payload[2])} points]",
+            on_point=on_chunk)
+        for failure in outcome.failures:
+            for position in chunks[failure.index]:
+                fail_rows[indices[position]] = failure
+
+    failures: List[PointFailure] = []
+    if fail_rows:
+        position = {global_index: local
+                    for local, global_index in enumerate(indices)}
+        targets = sorted(fail_rows)
+        if policy is not None or timeout is not None or strict:
+            # phase 2: the failed points get PR 2's full per-point
+            # semantics — retries with backoff, exact timeouts, fail-fast
+            retried = resilient_map(
+                point_task,
+                [point_payload(items[position[g]]) for g in targets],
+                workers=workers, policy=policy, timeout=timeout,
+                strict=strict, indices=targets,
+                describe=lambda payload: describe(payload[2]),
+                on_point=lambda local, value: record(targets[local],
+                                                     value))
+            failures = retried.failures
+        else:
+            for global_index in targets:
+                row = fail_rows[global_index]
+                item = describe(items[position[global_index]])
+                if isinstance(row, PointFailure):
+                    failures.append(PointFailure(
+                        index=global_index, error_type=row.error_type,
+                        message=row.message, traceback=row.traceback,
+                        attempts=row.attempts, item=item))
+                else:
+                    failures.append(PointFailure(
+                        index=global_index, error_type=row[1],
+                        message=row[2], traceback=row[3],
+                        attempts=1, item=item))
+    if quarantine_failures:
+        failures = sorted(failures + quarantine_failures,
+                          key=lambda failure: failure.index)
+    return failures, stages
+
+
+# -- worker tasks ---------------------------------------------------------------
+
+#: worker-resident symbolic trees: pool workers persist across chunks, so
+#: one recorded build serves every chunk a worker receives for a program
+_SYM_CACHE: Dict[Tuple, SymbolicBET] = {}
+_SYM_CACHE_LIMIT = 8
+_SYM_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _symbolic_for(sym: SymbolicBET):
+    """Check out the process's resident :class:`SymbolicBET` for
+    ``sym``'s program for the duration of a ``with`` block.
+
+    Shipped instances arrive without tape or tree (they pickle to just the
+    program); keeping one recorded instance per content key means later
+    chunks replay an already-recorded tape instead of rebuilding.  A
+    checked-out tape is off the cache until its block ends, so two
+    threads evaluating one program never bind the same tape (rebinds
+    mutate the shared tree): the second uses its shipped instance, and
+    whichever finishes first returns its tape to the cache.  Instances
+    with a custom library are not content-keyed and are used as shipped.
+    """
+    if sym.library is not None:
+        yield sym
+        return
+    key = (sym.program.fingerprint(), sym.entry,
+           repr(sorted(sym.builder_kwargs.items())))
+    with _SYM_LOCK:
+        tape = _SYM_CACHE.pop(key, sym)
+    try:
+        yield tape
+    finally:
+        with _SYM_LOCK:
+            if key not in _SYM_CACHE:
+                if len(_SYM_CACHE) >= _SYM_CACHE_LIMIT:
+                    _SYM_CACHE.pop(next(iter(_SYM_CACHE)))
+                _SYM_CACHE[key] = tape
+
+
+def clear_symbolic_cache() -> None:
+    """Drop worker-resident symbolic trees (mainly for tests)."""
+    with _SYM_LOCK:
+        _SYM_CACHE.clear()
+
+
+def _perf_counters() -> Dict[str, float]:
+    """Process-wide expression-layer counters (compile + parse caches)."""
+    from ..expressions import compile_stats, parser_stats
+    compiled = compile_stats()
+    parsed = parser_stats()
+    return {"compile_seconds": float(compiled["compile_seconds"]),
+            "compiles": float(compiled["compiles"]),
+            "compile_cache_hits": float(compiled["cache_hits"]),
+            "parse_cache_hits": float(parsed["cache_hits"])}
+
+
+def _stage_snapshot(sym: SymbolicBET) -> Dict[str, float]:
+    snap = {f"bet_{name}": float(value)
+            for name, value in sym.stats.items()}
+    snap.update(_perf_counters())
+    snap["project_seconds"] = 0.0
+    return snap
+
+
+def _stage_delta(sym: SymbolicBET, before: Dict[str, float],
+                 project_seconds: float) -> Dict[str, float]:
+    after = _stage_snapshot(sym)
+    after["project_seconds"] = project_seconds
+    return {name: after[name] - before.get(name, 0.0)
+            for name in after}
+
+
+def _fail_row(exc: Exception) -> Tuple:
+    return ("fail", type(exc).__name__, str(exc), _tb.format_exc())
+
+
+def _scalar_rows(sym: SymbolicBET, base_machine: MachineModel, cells,
+                 base_inputs, model_factory, k: int):
+    """Bind and project cells one at a time.
+
+    One timing model serves every cell of a machine signature (a model
+    depends only on the machine's numeric fields), and consecutive cells
+    with equal bindings share one bind.  Returns ``(rows,
+    project_seconds)``; per-cell errors become fail rows.
+    """
+    factory = model_factory or RooflineModel
+    models: Dict[Tuple, Any] = {}
+    rows: List[Tuple] = []
     project_seconds = 0.0
-    lane_groups = 0
-    for key in order:
-        slots = groups[key]
-        machines = [_cell_machine(base_machine, cells[slot])
-                    for slot in slots]
-        inputs_rows = [{**base_inputs, **_split_overrides(cells[slot])[1]}
-                       for slot in slots]
+    bound_key: Any = None
+    bet: Optional[BETNode] = None
+    for cell in cells:
+        machine_part, input_part = split_overrides(cell)
         try:
-            model = (model_factory or RooflineModel)(machines[0])
-        except Exception as exc:
-            row = ("fail", type(exc).__name__, str(exc), _tb.format_exc())
-            for slot in slots:
-                rows[slot] = row
-            continue
-        vectorized = False
-        cols = _soa_columns(inputs_rows)
-        if cols is not None:
-            try:
-                batch = sym.rebind_batch(cols, lane_index=slots)
-                started = time.perf_counter()
-                project_batch(batch, model, k, out=scattered)
-                project_seconds += time.perf_counter() - started
-                vectorized = True
-                lane_groups += 1
-            except Exception:
-                vectorized = False
-        for local, slot in enumerate(slots):
-            projection = scattered[slot] if vectorized else None
-            machine = machines[local]
-            if projection is None:
-                try:
-                    bet = sym.bind(inputs_rows[local])
-                    started = time.perf_counter()
-                    projection = project_machine(bet, machine,
-                                                 model_factory, k)
-                    project_seconds += time.perf_counter() - started
-                except Exception as exc:
-                    rows[slot] = ("fail", type(exc).__name__, str(exc),
-                                  _tb.format_exc())
-                    continue
-            rows[slot] = ("ok", GridPoint(overrides=dict(cells[slot]),
-                                          machine=machine, **projection))
-    return rows, project_seconds, lane_groups
+            signature = tuple(sorted(machine_part.items()))
+            model = models.get(signature)
+            if model is None:
+                # built from this cell's machine, so an invalid override
+                # fails with the cell's own name tag (failures are not
+                # cached: every such cell reports its own error)
+                model = factory(_cell_machine(base_machine, cell)
+                                if machine_part else base_machine)
+                models[signature] = model
+            inputs = {**base_inputs, **input_part}
+            key = tuple(sorted(inputs.items()))
+            if bet is None or key != bound_key:
+                bet = sym.bind(inputs)
+                bound_key = key
+            started = time.perf_counter()
+            rows.append(("ok", project_with_model(bet, model, k)))
+            project_seconds += time.perf_counter() - started
+        except Exception as exc:              # captured, re-raised in phase 2
+            rows.append(_fail_row(exc))
+            bet, bound_key = None, None   # bind state unknown after a fault
+    return rows, project_seconds
 
 
 def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
@@ -1504,118 +1177,94 @@ def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
     """Batch-evaluate one packed lane-group slice (DESIGN.md §15).
 
     The pack is a single machine signature, so the whole chunk is one
-    ``rebind_batch`` lane array against one timing model; per-lane
-    failures (shape flips, domain errors, unsafe values) demote that
-    lane to the scalar path — which reproduces the canonical per-cell
-    result or error — rather than failing the group.  Returns ``(rows,
-    project_seconds, lane_groups)`` in lane (= original chunk) order.
+    ``rebind_batch`` lane array against one timing model; lanes the
+    batch cannot vectorize (shape flips, domain errors, unsafe values —
+    or the whole pack, if the model or the batch cannot be built) run
+    through :func:`_scalar_rows`, which reproduces the canonical
+    per-cell result or error.  Returns ``(rows, project_seconds,
+    lane_groups)`` in lane (= original chunk) order.
     """
-    cells = pack.cells()
-    try:
-        machine = _cell_machine(base_machine, pack.machine_part())
-        model = (model_factory or RooflineModel)(machine)
-    except Exception as exc:
-        row = ("fail", type(exc).__name__, str(exc), _tb.format_exc())
-        return [row] * len(cells), 0.0, 0
+    factory = model_factory or RooflineModel
     project_seconds = 0.0
     lane_groups = 0
-    projections: List[Optional[Dict]] = [None] * pack.count
+    machine_part = pack.machine_part()
     try:
+        model = factory(_cell_machine(base_machine, machine_part)
+                        if machine_part else base_machine)
         batch = sym.rebind_batch(pack.input_columns(base_inputs))
         started = time.perf_counter()
         projections = project_batch(batch, model, k)
-        project_seconds += time.perf_counter() - started
+        project_seconds = time.perf_counter() - started
         lane_groups = 1
     except Exception:
         projections = [None] * pack.count
-    rows: List[Any] = []
-    for lane, overrides in enumerate(cells):
-        # per-cell machine: same physical fields as the group machine,
-        # but the name tag carries the full overrides (incl. ``input:``
-        # axes) exactly like the scalar path, so exported points are
-        # byte-for-byte interchangeable
-        point_machine = _cell_machine(base_machine, overrides)
-        projection = projections[lane]
-        if projection is None:
-            try:
-                inputs = {**base_inputs, **_split_overrides(overrides)[1]}
-                bet = sym.bind(inputs)
-                started = time.perf_counter()
-                projection = project_machine(bet, point_machine,
-                                             model_factory, k)
-                project_seconds += time.perf_counter() - started
-            except Exception as exc:
-                rows.append(("fail", type(exc).__name__, str(exc),
-                             _tb.format_exc()))
-                continue
-        rows.append(("ok", GridPoint(overrides=dict(overrides),
-                                     machine=point_machine,
-                                     **projection)))
+    rows: List[Any] = [("ok", projection) for projection in projections]
+    fallback = [lane for lane, projection in enumerate(projections)
+                if projection is None]
+    if fallback:
+        cells = pack.cells()
+        fallback_rows, seconds = _scalar_rows(
+            sym, base_machine, [cells[lane] for lane in fallback],
+            base_inputs, model_factory, k)
+        for lane, row in zip(fallback, fallback_rows):
+            rows[lane] = row
+        project_seconds += seconds
     return rows, project_seconds, lane_groups
 
 
-def _grid_chunk_task(payload):
-    """Process-pool task: a chunk of mixed machine x input grid cells.
+def _cell_chunk_task(payload):
+    """Process-pool task: bind + project one chunk of cells.
 
-    Consecutive cells with identical input bindings reuse the current
-    tree without a rebind (row-major order makes runs of equal bindings
-    common when input axes come first in the grid dict).  With
-    ``backend="vector"`` the chunk's cells are grouped by machine
-    overrides and each group is batch-replayed in one pass; a chunk
-    shipped as a :class:`~repro.parallel.lanes.LanePack` (one machine
-    signature, columnar inputs) is a single pre-planned lane group.
+    A chunk shipped as a :class:`~repro.parallel.lanes.LanePack` is one
+    pre-planned lane group, batch-replayed in one pass; a plain cell list
+    runs the scalar loop.  One symbolic build (first chunk per worker;
+    replays after) amortizes across every cell, and per-cell errors are
+    captured as rows, never raised, so chunk-mates always complete.
     """
-    sym, base_machine, cells, base_inputs, model_factory, k = payload[:6]
-    backend = payload[6] if len(payload) > 6 else "scalar"
-    sym = _symbolic_for(sym)
-    before = _stage_snapshot(sym)
-    if isinstance(cells, LanePack):
-        rows, project_seconds, lane_groups = _lane_pack_rows(
-            sym, base_machine, cells, base_inputs, model_factory, k)
+    shipped, base_machine, cells, base_inputs, model_factory, k = payload
+    with _symbolic_for(shipped) as sym:
+        before = _stage_snapshot(sym)
+        if isinstance(cells, LanePack):
+            rows, project_seconds, lane_groups = _lane_pack_rows(
+                sym, base_machine, cells, base_inputs, model_factory, k)
+        else:
+            rows, project_seconds = _scalar_rows(
+                sym, base_machine, cells, base_inputs, model_factory, k)
+            lane_groups = 0
         delta = _stage_delta(sym, before, project_seconds)
-        delta["lane_groups"] = float(lane_groups)
-        return rows, delta
-    if backend == "vector":
-        rows, project_seconds, lane_groups = _vector_grid_rows(
-            sym, base_machine, cells, base_inputs, model_factory, k)
-        delta = _stage_delta(sym, before, project_seconds)
-        delta["lane_groups"] = float(lane_groups)
-        return rows, delta
-    project_seconds = 0.0
+    delta["lane_groups"] = float(lane_groups)
+    return rows, delta
+
+
+def _cell_point_task(payload) -> Dict[str, Any]:
+    """Process-pool task: project one cell — machine-only cells over the
+    shared BET, or (phase 2 / retries) one input cell via a rebind."""
+    source, base_machine, cell, base_inputs, model_factory, k = payload
+    machine_part, input_part = split_overrides(cell)
+    machine = (_cell_machine(base_machine, cell) if machine_part
+               else base_machine)
+    if not isinstance(source, SymbolicBET):
+        return project_machine(source, machine, model_factory, k)
+    with _symbolic_for(source) as sym:
+        bet = sym.bind({**base_inputs, **input_part})
+        return project_machine(bet, machine, model_factory, k)
+
+
+def _point_chunk_task(payload):
+    """Executor shard task: a batch of independent per-point payloads.
+
+    Wraps a per-point task into the chunked ``(rows, stats)`` protocol
+    so machine-only cells shard exactly like input cells: per-point
+    errors become fail rows (phase-2 territory), never shard faults.
+    """
+    task, point_payloads = payload
     rows = []
-    bound_key: Any = None
-    bet: Optional[BETNode] = None
-    for overrides in cells:
-        machine_part, input_part = _split_overrides(overrides)
+    for point_payload in point_payloads:
         try:
-            machine = _cell_machine(base_machine, overrides)
-            inputs = {**base_inputs, **input_part}
-            key = tuple(sorted(inputs.items()))
-            if bet is None or key != bound_key:
-                bet = sym.bind(inputs)
-                bound_key = key
-            started = time.perf_counter()
-            projection = project_machine(bet, machine, model_factory, k)
-            project_seconds += time.perf_counter() - started
-            rows.append(("ok", GridPoint(overrides=dict(overrides),
-                                         machine=machine, **projection)))
+            rows.append(("ok", task(point_payload)))
         except Exception as exc:
-            rows.append(("fail", type(exc).__name__, str(exc),
-                         _tb.format_exc()))
-            bet, bound_key = None, None   # bind state unknown after a fault
-    return rows, _stage_delta(sym, before, project_seconds)
-
-
-def _grid_input_point_task(payload) -> GridPoint:
-    """Process-pool task: one mixed grid cell (phase-2 / retry dispatch)."""
-    sym, base_machine, overrides, base_inputs, model_factory, k = payload
-    sym = _symbolic_for(sym)
-    _, input_part = _split_overrides(overrides)
-    machine = _cell_machine(base_machine, overrides)
-    bet = sym.bind({**base_inputs, **input_part})
-    projection = project_machine(bet, machine, model_factory, k)
-    return GridPoint(overrides=dict(overrides), machine=machine,
-                     **projection)
+            rows.append(_fail_row(exc))
+    return rows, {}
 
 
 # -- batched full analyses ----------------------------------------------------

@@ -9,25 +9,24 @@ planning layer between the two:
 
 :func:`plan_lane_chunks`
     partitions an arbitrary cell list into chunks whose cells all share
-    one machine signature (and one input-key set), so every shipped
-    chunk is a *lane-group slice* — the shard unit of the grouped
-    dispatch path.  Cells that cannot batch (ragged input keys,
-    non-numeric values) land in scalar residue chunks instead of
-    poisoning a group.
+    one machine signature and one key order, so every shipped chunk is a
+    *lane-group slice* — the shard unit of the grouped dispatch path.
+    Cells that cannot batch (no input axes, non-numeric values) land in
+    scalar residue chunks instead of poisoning a group.
 
-:class:`LanePack` / :func:`pack_cells`
+:class:`LanePack` / :func:`pack_group`
     the packed SoA transport for one lane-group slice: one machine
     signature plus columnar input arrays instead of N per-point dicts,
     so pool/multinode executors serialize each group once.  The pack
     reconstructs the original cell dicts bit-identically on the worker
-    (:meth:`LanePack.cells`), which keeps checkpoint keys, fallback
-    rebinds, and ``GridPoint.overrides`` indistinguishable from the
-    per-dict path.
+    (:meth:`LanePack.cells`) for the lanes that fall back to the scalar
+    path.  :func:`pack_cells` is the checking variant for a cell list
+    not produced by the planner.
 
 The planner never reorders cells *within* a group and never merges
 groups, so results scatter back to the caller's original cell order
-through the chunk's explicit position list (see ``_run_chunked``'s
-``chunks`` parameter in :mod:`repro.parallel.engine`).
+through the chunk's explicit position list (see ``_run_chunked`` in
+:mod:`repro.parallel.engine`).
 """
 
 from __future__ import annotations
@@ -50,11 +49,6 @@ def split_overrides(
     return machine_part, input_part
 
 
-def _numeric(value) -> bool:
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, float)))
-
-
 def cell_signature(cell: Dict[str, float]) -> Optional[Tuple]:
     """The lane-group key of one cell, or ``None`` if it cannot batch.
 
@@ -68,7 +62,7 @@ def cell_signature(cell: Dict[str, float]) -> Optional[Tuple]:
     machine_items: List[Tuple[str, Any]] = []
     input_names: List[str] = []
     for name, value in cell.items():
-        if not _numeric(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             return None
         if name.startswith(INPUT_PREFIX):
             input_names.append(name)
@@ -76,7 +70,9 @@ def cell_signature(cell: Dict[str, float]) -> Optional[Tuple]:
             machine_items.append((name, value))
     if not input_names:
         return None        # nothing to build lanes over
-    return (tuple(sorted(machine_items)), tuple(sorted(input_names)))
+    machine_items.sort()
+    input_names.sort()
+    return (tuple(machine_items), tuple(input_names))
 
 
 class LanePack:
@@ -85,11 +81,12 @@ class LanePack:
     ``signature`` is the group's shared machine overrides (sorted
     ``(name, value)`` tuple); ``columns`` maps each ``input:``-prefixed
     axis name to its per-lane value list; ``order`` is the full key
-    order of the original cell dicts (shared by every cell in the pack,
-    enforced by :func:`pack_cells`).  Values keep their original Python
-    types (``int`` stays ``int``) so :meth:`cells` reconstructs dicts
-    that compare — and checkpoint-key, and machine-name-tag —
-    identically to the originals.
+    order of the original cell dicts (shared by every cell in the pack:
+    :func:`plan_lane_chunks` groups by it and :func:`pack_cells` checks
+    it).  Values keep their original Python types (``int`` stays
+    ``int``) so :meth:`cells` reconstructs dicts that compare — and
+    checkpoint-key, and machine-name-tag — identically to the
+    originals.
     """
 
     __slots__ = ("signature", "columns", "order", "count")
@@ -139,9 +136,6 @@ def pack_cells(cells: Sequence[Dict[str, Any]]) -> Optional[LanePack]:
     Returns ``None`` when the cells do not form a single lane group —
     differing machine signatures, ragged input keys or key *order*
     (dict order feeds the machine name tag), or non-numeric values.
-    The caller then ships the plain dict list instead (still evaluated
-    through the per-chunk vector grouping); packing is an optimization,
-    never a requirement.
     """
     if not cells:
         return None
@@ -149,15 +143,20 @@ def pack_cells(cells: Sequence[Dict[str, Any]]) -> Optional[LanePack]:
     if first is None:
         return None
     order = tuple(cells[0])
-    input_names = [name for name in order
-                   if name.startswith(INPUT_PREFIX)]
-    columns: Dict[str, List[Any]] = {name: [] for name in input_names}
     for cell in cells:
         if tuple(cell) != order or cell_signature(cell) != first:
             return None
-        for name in input_names:
-            columns[name].append(cell[name])
-    return LanePack(signature=first[0], columns=columns, order=order,
+    return pack_group(cells, first)
+
+
+def pack_group(cells: Sequence[Dict[str, Any]],
+               signature: Tuple) -> LanePack:
+    """Pack one chunk of :func:`plan_lane_chunks` output whose shared
+    :func:`cell_signature` is already known (no per-cell re-check)."""
+    order = tuple(cells[0])
+    columns = {name: [cell[name] for cell in cells] for name in order
+               if name.startswith(INPUT_PREFIX)}
+    return LanePack(signature=signature[0], columns=columns, order=order,
                     count=len(cells))
 
 
@@ -166,30 +165,24 @@ def plan_lane_chunks(cells: Sequence[Dict[str, Any]],
     """Partition ``cells`` into lane-group-aligned chunks.
 
     Returns position lists into ``cells``: every chunk is either a slice
-    of one lane group (same machine signature, same input keys, original
-    relative order — vector-eligible) or a slice of the unbatchable
-    residue (evaluated scalar).  Groups appear in first-encounter order,
-    each split at ``chunk_size``; the residue keeps its own original
-    order.  The lists form an exact partition of ``range(len(cells))``.
+    of one lane group (same machine signature, same key order, original
+    relative order — packable by :func:`pack_group`) or a slice of the
+    unbatchable residue (evaluated scalar).  Groups appear in
+    first-encounter order, each split at ``chunk_size``; the residue
+    keeps its own original order.  The lists form an exact partition of
+    ``range(len(cells))``.
     """
     chunk_size = max(1, int(chunk_size))
     groups: Dict[Tuple, List[int]] = {}
-    order: List[Tuple] = []
     residue: List[int] = []
     for position, cell in enumerate(cells):
         signature = cell_signature(cell)
         if signature is None:
             residue.append(position)
-            continue
-        if signature not in groups:
-            groups[signature] = []
-            order.append(signature)
-        groups[signature].append(position)
+        else:
+            groups.setdefault((signature, tuple(cell)), []).append(position)
     chunks: List[List[int]] = []
-    for signature in order:
-        positions = groups[signature]
+    for positions in list(groups.values()) + [residue]:
         for start in range(0, len(positions), chunk_size):
             chunks.append(positions[start:start + chunk_size])
-    for start in range(0, len(residue), chunk_size):
-        chunks.append(residue[start:start + chunk_size])
     return chunks

@@ -718,7 +718,8 @@ class AnalysisService:
                               self._build_budget())
                 # seed the engine's worker-resident tape cache too, so
                 # the first served sweep replays instead of re-recording
-                _symbolic_for(SymbolicBET(program)).bind(dict(inputs))
+                with _symbolic_for(SymbolicBET(program)) as tape:
+                    tape.bind(dict(inputs))
             except Exception as exc:
                 self._count("warm_cache_errors")
                 self._diag("SKOP716",

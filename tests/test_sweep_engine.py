@@ -13,7 +13,7 @@ from repro.experiments import pipeline
 from repro.hardware import BGQ, XEON_E5_2420
 from repro.parallel import (
     CacheStats, LRUCache, analyze_matrix, bet_cache_stats,
-    build_bet_cached, clear_bet_cache, sweep_grid,
+    build_bet_cached, clear_bet_cache, evaluate_cells, sweep_grid,
 )
 from repro.parallel.pool import chunk, parallel_map
 from repro.workloads import load
@@ -367,6 +367,17 @@ class TestSweepGrid:
         with pytest.raises(AnalysisError):
             sweep_grid(pedagogical_bet, BGQ, {"warp_drive": [1.0]})
 
+    def test_cell_list_grid_is_first_encounter_axis_union(
+            self, pedagogical_bet):
+        # equal values dedup (4 == 4.0) and the first spelling wins
+        result = evaluate_cells(BGQ, [{"bandwidth": 2e10, "cores": 4},
+                                      {"cores": 8, "bandwidth": 1e10},
+                                      {"bandwidth": 2e10, "cores": 4.0}],
+                                bet=pedagogical_bet)
+        assert result.grid == {"bandwidth": [2e10, 1e10], "cores": [4, 8]}
+        assert list(result.grid) == ["bandwidth", "cores"]
+        assert isinstance(result.grid["cores"][0], int)
+
 
 # -- serial/parallel equivalence (ISSUE: bit-identical results) ---------------
 
@@ -397,6 +408,45 @@ class TestParallelEquivalence:
         fanned = sweep_grid(pedagogical_bet, BGQ, grid, workers=2)
         assert _grid_signature(fanned) == _grid_signature(serial)
 
+    @pytest.mark.parametrize("resume", [False, True],
+                             ids=["fresh", "resumed"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_machine_matches_one_axis_grid(
+            self, pedagogical_bet, tmp_path, workers, resume):
+        # sweep_machine is the one-axis adapter over the evaluate_cells
+        # core: same numbers, names and failures as the equivalent grid,
+        # also after an interrupted run resumes from its checkpoint
+        values = [2.0, -4.0, 8.0, 16.0]          # -4 cores fails
+
+        def via_sweep(count, **kwargs):
+            return sweep_machine(pedagogical_bet, BGQ, "cores",
+                                 values[:count], workers=workers, **kwargs)
+
+        def via_grid(count, **kwargs):
+            return sweep_grid(pedagogical_bet, BGQ,
+                              {"cores": values[:count]}, workers=workers,
+                              **kwargs)
+
+        results = []
+        for entry in (via_sweep, via_grid):
+            if resume:
+                path = str(tmp_path / f"{entry.__name__}.json")
+                entry(2, checkpoint=path, checkpoint_key="half")
+                result = entry(len(values), checkpoint=path,
+                               checkpoint_key="half", resume=True)
+                assert result.timings["resumed"] == 1.0
+            else:
+                result = entry(len(values))
+            results.append(result)
+        swept, gridded = results
+        assert [(p.value, p.runtime, p.ranking, p.machine.name)
+                for p in swept.points] == \
+            [(p.overrides["cores"], p.runtime, p.ranking, p.machine.name)
+             for p in gridded.points]
+        assert [(f.index, f.error_type) for f in swept.failures] == \
+            [(f.index, f.error_type) for f in gridded.failures]
+        assert [f.index for f in swept.failures] == [1]
+
     def test_analyze_matrix_parallel_matches_serial(self):
         clear_cache()
         serial = analyze_matrix(["pedagogical"], [BGQ, XEON_E5_2420])
@@ -413,6 +463,81 @@ class TestParallelEquivalence:
 
 
 # -- batched analyses ---------------------------------------------------------
+
+class TestSweepCore:
+    def test_concurrent_threads_on_one_program_match_serial(
+            self, pedagogical):
+        # two threads evaluating input cells of one program must never
+        # bind the same cached tape at once (a rebind rewrites the tree
+        # the other thread is projecting)
+        import sys
+        import threading
+        from repro.export import grid_point_to_dict
+        from repro.parallel import clear_symbolic_cache
+        program, inputs = pedagogical
+        jobs = [[{"input:n": 100.0 + 7 * i} for i in range(12)],
+                [{"input:n": 5000.0 + 11 * i} for i in range(12)]]
+
+        def evaluate(cells):
+            result = evaluate_cells(BGQ, cells, program=program,
+                                    inputs=inputs)
+            return [grid_point_to_dict(point) for point in result.points]
+
+        clear_symbolic_cache()
+        expected = [evaluate(cells) for cells in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = [None] * 4
+                threads = [threading.Thread(
+                    target=lambda i=i: got.__setitem__(
+                        i, evaluate(jobs[i % 2])))
+                    for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == expected * 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("entry", ["sweep_machine", "sweep_inputs"])
+    def test_older_adapter_checkpoint_is_refused(self, pedagogical,
+                                                 pedagogical_bet, tmp_path,
+                                                 entry):
+        # checkpoints written before sweep_machine / sweep_inputs ran on
+        # the shared core stored other cell keys, payloads and settings;
+        # resuming one must refuse, never merge or silently recompute
+        import json
+        from repro.errors import CheckpointError
+        from repro.parallel import sweep_inputs
+        program, inputs = pedagogical
+        projection = {"runtime": 1.0, "ranking": ["s1"], "top_label": "s1",
+                      "memory_fraction": 0.5, "completeness": 1.0}
+        if entry == "sweep_machine":
+            completed = {"bandwidth=10000000000.0": dict(projection,
+                                                         value=1e10)}
+            settings = {"cache_model": "default"}
+        else:
+            completed = {"n=500": projection}
+            settings = {"backend": "scalar", "cache_model": "default",
+                        "executor": "legacy"}
+        path = str(tmp_path / "legacy.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"version": 1, "key": "legacy", "settings": settings,
+                       "completed": completed}, handle)
+        with pytest.raises(CheckpointError, match="SKOP706"):
+            if entry == "sweep_machine":
+                sweep_machine(pedagogical_bet, BGQ, "bandwidth", [1e10],
+                              checkpoint=path, checkpoint_key="legacy",
+                              resume=True)
+            else:
+                sweep_inputs(program, BGQ, {"n": [500]}, base_inputs=inputs,
+                             checkpoint=path, checkpoint_key="legacy",
+                             resume=True)
+
 
 class TestAnalyzeMatrix:
     def test_row_major_task_order(self):

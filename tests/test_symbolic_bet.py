@@ -18,8 +18,8 @@ from repro.bet import ShapeChanged, SymbolicBET, build_bet
 from repro.errors import AnalysisError, RetryExhaustedError
 from repro.hardware.presets import machine_by_name
 from repro.parallel import (
-    InputSweepResult, RetryPolicy, clear_symbolic_cache, sweep_grid,
-    sweep_inputs,
+    InputSweepResult, RetryPolicy, clear_symbolic_cache, evaluate_cells,
+    sweep_grid, sweep_inputs,
 )
 from repro.skeleton.parser import parse_skeleton
 from repro.workloads import load, names
@@ -253,6 +253,63 @@ class TestSweepInputs:
         assert "input sweep over n" in text
         assert "2 points" in text
         assert result.point(n=64.0) is result.points[1]
+
+    @pytest.mark.parametrize("resume", [False, True],
+                             ids=["fresh", "resumed"])
+    @pytest.mark.parametrize("points, backend", [
+        ([{"n": float(n), "pr": pr} for n in (16, 32, 64, 128)
+          for pr in (0.3, 2.5)], "scalar"),
+        ([{"n": float(n), "pr": pr} for n in range(8, 40)
+          for pr in (0.0, 2.5)], "vector"),
+        ([{"n": 16.0}, {"n": 32.0, "m": 4.0}, {"m": 2.0, "n": 8.0},
+          {"pr": 2.5}] + [{"n": float(n)} for n in range(40, 104)],
+         "vector"),
+    ], ids=["8-scalar", "64-vector", "ragged"])
+    def test_matches_evaluate_cells_over_input_cells(
+            self, program, machine, tmp_path, points, backend, resume):
+        # sweep_inputs is the input:-prefixed adapter over the
+        # evaluate_cells core: same points, failures and backend, also
+        # after an interrupted run resumes from its checkpoint
+        base = {"n": 64.0, "m": 8.0, "pr": 0.3}
+        cells = [{f"input:{name}": value for name, value in point.items()}
+                 for point in points]
+
+        def via_inputs(count, **kwargs):
+            return sweep_inputs(program, machine, points[:count],
+                                base_inputs=base, backend=backend,
+                                **kwargs)
+
+        def via_cells(count, **kwargs):
+            return evaluate_cells(machine, cells[:count], program=program,
+                                  inputs=base, backend=backend, **kwargs)
+
+        results = []
+        for entry in (via_inputs, via_cells):
+            clear_symbolic_cache()
+            if resume:
+                path = str(tmp_path / f"{entry.__name__}.json")
+                entry(len(points) // 2, checkpoint=path,
+                      checkpoint_key="half")
+                result = entry(len(points), checkpoint=path,
+                               checkpoint_key="half", resume=True)
+                assert result.timings["resumed"] > 0
+            else:
+                result = entry(len(points))
+            results.append(result)
+        swept, evaluated = results
+        assert [(p.inputs, p.runtime, p.ranking, p.top_label,
+                 p.memory_fraction, p.completeness)
+                for p in swept.points] == \
+            [({name[len("input:"):]: value
+               for name, value in p.overrides.items()}, p.runtime,
+              p.ranking, p.top_label, p.memory_fraction, p.completeness)
+             for p in evaluated.points]
+        assert [(f.index, f.error_type, f.message)
+                for f in swept.failures] == \
+            [(f.index, f.error_type, f.message)
+             for f in evaluated.failures]
+        assert swept.failures
+        assert swept.backend == evaluated.backend == backend
 
 
 class TestGridInputAxes:
