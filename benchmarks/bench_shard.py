@@ -40,7 +40,7 @@ from repro.parallel import (                                    # noqa: E402
     ChaosSchedule, MultinodeExecutor, PoolExecutor, SerialExecutor,
     ShardScheduler, plan_shards, sweep_grid,
 )
-from repro.parallel.pool import default_workers                 # noqa: E402
+from repro.parallel.executors import default_workers            # noqa: E402
 from repro.workloads import load                                # noqa: E402
 
 #: pedagogical co-design grid for the real-sweep equivalence section

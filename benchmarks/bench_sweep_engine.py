@@ -147,8 +147,10 @@ def test_input_sweep_rebind_speedup(benchmark, save_artifact):
     def fast():
         # fresh recording each rep, so bind/replay counters stay exact
         clear_symbolic_cache()
+        # scalar replay is what this gate measures (``auto`` would send
+        # 1000 points to the vector backend)
         return sweep_inputs(program, BGQ, {axis: values},
-                            base_inputs=base)
+                            base_inputs=base, backend="scalar")
 
     benchmark.pedantic(fast, rounds=1, iterations=1)  # table entry
 

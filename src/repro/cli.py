@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "sweep into supervised shards with "
                                    "work-stealing, crash recovery, and "
                                    "poison-shard quarantine (default: "
-                                   "legacy in-process dispatch)")
+                                   "serial for --workers 1, else pool)")
     sweep_parser.add_argument("--shards", type=int, default=None,
                               metavar="N",
                               help="shard count for --executor (default: "
@@ -725,7 +725,9 @@ def _cmd_sweep(args) -> str:
     failed = int(timings.get("failed", 0))
     resumed = int(timings.get("resumed", 0))
     backend_used = getattr(result, "backend", None)
-    executor_used = getattr(result, "executor", "")
+    # the executor is reported when it was chosen, not when it was the
+    # default resolved from --workers
+    executor_used = getattr(result, "executor", "") if executor else ""
     shard_stats = getattr(result, "shard_stats", None) or {}
     footer = (f"[{int(timings.get('points', 0))} points in "
               f"{timings.get('total', 0.0):.3f}s, "
@@ -794,8 +796,7 @@ def _cmd_explore(args) -> str:
               f"{timings.get('total', 0.0):.3f}s, "
               f"{result.rounds} rounds"
               + (f", backend={result.backend}" if result.backend else "")
-              + (f", executor={result.executor}" if result.executor
-                 else "")
+              + (f", executor={result.executor}" if executor else "")
               + (f", {result.failures} failed" if result.failures else "")
               + (f", frontier verified x{verified}" if verified else "")
               + "]")

@@ -3,11 +3,12 @@
 The BET is machine independent, so co-design is a batch workload: one
 tree, thousands of hardware points.  This package supplies the batch
 machinery — a bounded LRU cache with observable statistics
-(:class:`LRUCache`), a deterministic process-pool map
-(:func:`parallel_map`), memoized BET construction
+(:class:`LRUCache`), memoized BET construction
 (:func:`build_bet_cached`), N-dimensional machine grids
 (:func:`sweep_grid`), and fanned-out full analyses
-(:func:`analyze_matrix`).  See DESIGN.md §6.
+(:func:`analyze_matrix`).  Every fan-out runs a :class:`ShardScheduler`
+over a :class:`SweepExecutor` (serial, process pool, or simulated
+cluster).  See DESIGN.md §6 and §12.
 
 The resilience layer (DESIGN.md §7) rides on the same engine: failing
 points become structured :class:`PointFailure` records instead of
@@ -26,15 +27,13 @@ from .engine import (
 )
 from .executors import (
     EXECUTOR_NAMES, MultinodeExecutor, PoolExecutor, SerialExecutor,
-    SweepExecutor, resolve_executor,
+    SweepExecutor, abandon_pool, default_workers, reap_abandoned,
+    resolve_executor,
 )
 from .fault import (
     NO_RETRY, CallRecorder, FaultInjector, MapOutcome, PointFailure,
     RetryPolicy, SweepCheckpoint, factory_tag, overrides_key,
     resilient_map, run_point, sweep_key,
-)
-from .pool import (
-    abandon_pool, chunk, default_workers, parallel_map, reap_abandoned,
 )
 from .shard import (
     Shard, ShardEnvelope, ShardRunResult, ShardScheduler, SupervisionLog,
@@ -57,9 +56,7 @@ __all__ = [
     "InputPoint",
     "InputSweepResult",
     "INPUT_PREFIX",
-    "chunk",
     "default_workers",
-    "parallel_map",
     # resilience layer
     "PointFailure",
     "RetryPolicy",

@@ -11,12 +11,12 @@ layer:
   sweep point of a session;
 * :func:`evaluate_cells` — the one sweep core (DESIGN.md §8): an explicit
   list of cells, each a dict of machine-field and ``input:<name>``
-  overrides, projected with deterministic ordering, process-pool or
-  executor fan-out, retries, checkpoints, and the lane-grouped vector
-  backend.  Cells with input axes are routed through
-  :class:`~repro.bet.SymbolicBET` rebinds in chunks, so each worker
-  amortizes one recorded build (and the expression-compile warmup)
-  across its whole chunk;
+  overrides, projected in chunks with deterministic ordering, executor
+  fan-out, retries, checkpoints, and the lane-grouped vector backend.
+  Cells with input axes are routed through
+  :class:`~repro.bet.SymbolicBET` rebinds, so each worker amortizes one
+  recorded build (and the expression-compile warmup) across its whole
+  chunk;
 * :func:`sweep_grid` and :func:`sweep_inputs` — thin adapters over that
   core: the cross product of a machine (or mixed) grid, and a sweep of
   workload inputs (``input:``-prefixed cells returned as
@@ -28,8 +28,9 @@ layer:
 
 Every result carries per-stage wall seconds and cache statistics so the
 performance trajectory is observable (``timings`` / ``cache_stats``).
-``workers=1`` always takes the plain serial path; parallel results are
-bit-identical to it.
+All fan-out runs a :class:`~repro.parallel.shard.ShardScheduler` over a
+:class:`~repro.parallel.executors.SweepExecutor` (``workers=1`` runs
+in-process); parallel results are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import contextlib
 import itertools
 import threading
 import time
-import traceback as _tb
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import arrayops as _aops
@@ -47,12 +47,12 @@ from ..analysis.sensitivity import project_machine, project_with_model
 from ..analysis.vectorized import project_batch
 from ..bet import SymbolicBET, build_bet
 from ..bet.nodes import BETNode, render_tree
-from ..errors import AnalysisError, CheckpointError
+from ..errors import AnalysisError, CheckpointError, RetryExhaustedError
 from ..hardware.machine import MachineModel, ensure_valid_machine
 from ..hardware.roofline import RooflineModel
 from ..skeleton.bst import Program
 from .cache import CacheStats, LRUCache
-from .executors import SweepExecutor, resolve_executor
+from .executors import resolve_executor
 from .lanes import (
     INPUT_PREFIX, LanePack, cell_signature, pack_group, plan_lane_chunks,
     split_overrides,
@@ -61,7 +61,6 @@ from .fault import (
     PointFailure, RetryPolicy, SweepCheckpoint, factory_tag, overrides_key,
     resilient_map, sweep_key,
 )
-from .pool import parallel_map
 from .shard import ShardScheduler
 
 # -- BET-build memoization ----------------------------------------------------
@@ -114,8 +113,43 @@ class GridPoint:
     completeness: float = 1.0      #: modeled fraction (1.0 = no quarantine)
 
 
+class _PointTable:
+    """Accessors and rendering shared by :class:`GridResult` and
+    :class:`InputSweepResult` (``points`` in sweep order, ``failures``)."""
+
+    @property
+    def completeness(self) -> float:
+        """Modeled fraction of the projected BETs (< 1.0 after a degraded
+        build quarantined part of the program)."""
+        if not self.points:
+            return 1.0
+        return min(point.completeness for point in self.points)
+
+    def runtime_curve(self) -> List[float]:
+        return [point.runtime for point in self.points]
+
+    def best(self):
+        """The fastest point (ties keep sweep order)."""
+        return min(self.points, key=lambda p: p.runtime)
+
+    def _table(self, title: str, names: List[str],
+               coordinates: Callable[[Any], List[float]],
+               note: str = "") -> str:
+        failed = f", {len(self.failures)} failed" if self.failures else ""
+        header = "  ".join(f"{name:>12}" for name in names)
+        lines = [f"{title} ({len(self.points)} points{failed}){note}",
+                 f"{header}  {'runtime':>10}  {'mem%':>6}  top hot spot"]
+        for point in self.points:
+            cells = "  ".join(f"{value:12.4g}" for value in coordinates(point))
+            lines.append(
+                f"{cells}  {point.runtime:10.4g}  "
+                f"{100 * point.memory_fraction:5.1f}%  {point.top_label}")
+        lines.extend(failure.render() for failure in self.failures)
+        return "\n".join(lines)
+
+
 @dataclass
-class GridResult:
+class GridResult(_PointTable):
     """A full N-dimensional design-space grid.
 
     Points are in row-major order over ``grid`` (last parameter varies
@@ -132,7 +166,7 @@ class GridResult:
     cache_stats: Dict[str, float] = field(default_factory=dict)
     failures: List[PointFailure] = field(default_factory=list)
     backend: str = "scalar"        #: resolved evaluation backend
-    executor: str = ""             #: executor name ("" = legacy dispatch)
+    executor: str = ""             #: executor that ran the sweep
     shard_stats: Dict[str, float] = field(default_factory=dict)
     diagnostics: List[Any] = field(default_factory=list)
 
@@ -144,14 +178,6 @@ class GridResult:
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(values) for values in self.grid.values())
 
-    @property
-    def completeness(self) -> float:
-        """Modeled fraction of the projected BET (< 1.0 after a degraded
-        build quarantined part of the program)."""
-        if not self.points:
-            return 1.0
-        return min(point.completeness for point in self.points)
-
     def point(self, **overrides: float) -> GridPoint:
         """The cell whose overrides match exactly."""
         for candidate in self.points:
@@ -159,34 +185,13 @@ class GridResult:
                 return candidate
         raise AnalysisError(f"no grid point with overrides {overrides}")
 
-    def runtime_curve(self) -> List[float]:
-        return [point.runtime for point in self.points]
-
-    def best(self) -> GridPoint:
-        """The fastest cell (ties keep grid order)."""
-        return min(self.points, key=lambda p: p.runtime)
-
     def render(self) -> str:
         names = self.parameters
-        header = "  ".join(f"{name:>12}" for name in names)
-        head = (f"design-space grid over {' x '.join(names)} "
-                f"({len(self.points)} points"
-                + (f", {len(self.failures)} failed" if self.failures
-                   else "") + ")")
-        if self.completeness < 1.0:
-            head += (f" [degraded model: {100 * self.completeness:.1f}% "
-                     f"of the program projected]")
-        lines = [head,
-                 f"{header}  {'runtime':>10}  {'mem%':>6}  top hot spot"]
-        for point in self.points:
-            cells = "  ".join(f"{point.overrides[name]:12.4g}"
-                              for name in names)
-            lines.append(
-                f"{cells}  {point.runtime:10.4g}  "
-                f"{100 * point.memory_fraction:5.1f}%  {point.top_label}")
-        for failure in self.failures:
-            lines.append(failure.render())
-        return "\n".join(lines)
+        note = (f" [degraded model: {100 * self.completeness:.1f}% of the "
+                "program projected]" if self.completeness < 1.0 else "")
+        return self._table(f"design-space grid over {' x '.join(names)}",
+                           names, lambda point: [point.overrides[name]
+                                                 for name in names], note)
 
 
 @dataclass
@@ -202,7 +207,7 @@ class InputPoint:
 
 
 @dataclass
-class InputSweepResult:
+class InputSweepResult(_PointTable):
     """A sweep over workload inputs with one symbolic tree.
 
     Points are in row-major order over ``axes`` (last axis varies
@@ -219,7 +224,7 @@ class InputSweepResult:
     cache_stats: Dict[str, float] = field(default_factory=dict)
     failures: List[PointFailure] = field(default_factory=list)
     backend: str = "scalar"        #: resolved evaluation backend
-    executor: str = ""             #: executor name ("" = legacy dispatch)
+    executor: str = ""             #: executor that ran the sweep
     shard_stats: Dict[str, float] = field(default_factory=dict)
     diagnostics: List[Any] = field(default_factory=list)
 
@@ -234,14 +239,6 @@ class InputSweepResult:
                     names.append(name)
         return names
 
-    @property
-    def completeness(self) -> float:
-        """Modeled fraction of the swept BETs (< 1.0 after a degraded
-        build quarantined part of the program)."""
-        if not self.points:
-            return 1.0
-        return min(point.completeness for point in self.points)
-
     def point(self, **inputs: float) -> InputPoint:
         """The point whose swept inputs match exactly."""
         for candidate in self.points:
@@ -249,30 +246,11 @@ class InputSweepResult:
                 return candidate
         raise AnalysisError(f"no sweep point with inputs {inputs}")
 
-    def runtime_curve(self) -> List[float]:
-        return [point.runtime for point in self.points]
-
-    def best(self) -> InputPoint:
-        """The fastest point (ties keep sweep order)."""
-        return min(self.points, key=lambda p: p.runtime)
-
     def render(self) -> str:
         names = self.parameters
-        header = "  ".join(f"{name:>12}" for name in names)
-        lines = [f"input sweep over {' x '.join(names) or '(none)'} "
-                 f"({len(self.points)} points"
-                 + (f", {len(self.failures)} failed" if self.failures
-                    else "") + ")",
-                 f"{header}  {'runtime':>10}  {'mem%':>6}  top hot spot"]
-        for point in self.points:
-            cells = "  ".join(f"{point.inputs.get(name, 0):12.4g}"
-                              for name in names)
-            lines.append(
-                f"{cells}  {point.runtime:10.4g}  "
-                f"{100 * point.memory_fraction:5.1f}%  {point.top_label}")
-        for failure in self.failures:
-            lines.append(failure.render())
-        return "\n".join(lines)
+        return self._table(f"input sweep over {' x '.join(names) or '(none)'}",
+                           names, lambda point: [point.inputs.get(name, 0)
+                                                 for name in names])
 
 
 def _cell_machine(base_machine: MachineModel,
@@ -355,16 +333,16 @@ def _evaluate_cell_list(base_machine: MachineModel,
                         ) -> _CellRun:
     """The one evaluation path behind every sweep entry point.
 
-    Validates the cells, opens the checkpoint, and dispatches the cells
-    still pending in one of two shapes: cells with input axes (or with
-    no prebuilt ``bet``) go through chunked :func:`_run_chunked` dispatch
-    over :class:`~repro.bet.SymbolicBET` rebinds, lane-planned on the
-    vector backend; machine-only cells re-project ``bet`` one point per
-    :func:`resilient_map` task (or one shard of points per executor
-    task).  Projections come back as plain dicts: each adapter builds its
-    own point type, so per-cell machines are only constructed where the
-    result carries them.  ``describe`` renders a cell into its
-    :class:`PointFailure` label.
+    Validates the cells, resolves the executor (``executor=None``: from
+    ``workers``), opens the checkpoint, and dispatches the cells still
+    pending in chunks through :func:`_run_chunked`: cells with input axes
+    (or with no prebuilt ``bet``) bind a :class:`~repro.bet.SymbolicBET`
+    per chunk, lane-planned on the vector backend; machine-only cells
+    re-project ``bet`` point by point inside their chunk.  Projections
+    come back as plain dicts: each adapter builds its own point type, so
+    per-cell machines are only constructed where the result carries
+    them.  ``describe`` renders a cell into its :class:`PointFailure`
+    label.
     """
     if not cells:
         raise AnalysisError("evaluate_cells needs at least one cell")
@@ -390,10 +368,48 @@ def _evaluate_cell_list(base_machine: MachineModel,
     backend = _resolve_backend(backend, len(cells),
                                has_machine_axes=bool(machine_names),
                                has_input_axes=symbolic)
-    resolved_executor: Optional[SweepExecutor] = None
-    if executor is not None:
-        resolved_executor = resolve_executor(executor, workers=workers,
-                                             topology=topology, chaos=chaos)
+    source: Any = (SymbolicBET(program, entry=entry, library=library)
+                   if symbolic else bet)
+
+    def point_payload(cell):
+        return (source, base_machine, cell, base_inputs, model_factory, k)
+
+    chunk_task = _cell_chunk_task if symbolic else _point_chunk_task
+    vector = backend == "vector"
+
+    def resolve(width: int):
+        return resolve_executor(executor, workers=width, topology=topology,
+                                chaos=chaos,
+                                probe=(chunk_task, point_payload(cells[0])))
+
+    def plan(indices: Sequence[int], width: int) -> List[List[int]]:
+        """Chunks (lists of global cell indices) over ``indices``:
+        ``shards`` splits them evenly, else an explicit ``chunk_size``
+        wins, else :func:`_auto_chunk_size` over ``width``."""
+        subset = [cells[index] for index in indices]
+        size = (-(-len(subset) // max(1, int(shards))) if shards
+                else chunk_size if chunk_size is not None
+                else _auto_chunk_size(len(subset), width, vector=vector))
+        size = max(1, size)
+        if vector:
+            # grouped dispatch (DESIGN.md §15): every chunk is one
+            # lane-group slice, shipped as a columnar LanePack, or a slice
+            # of the unbatchable residue
+            positions = plan_lane_chunks(subset, size)
+        else:
+            positions = [range(start, min(start + size, len(subset)))
+                         for start in range(0, len(subset), size)]
+        return [[indices[position] for position in chunk]
+                for chunk in positions]
+
+    resolved = resolve(workers)
+    if resolved.width > 1 and timeout is None \
+            and len(plan(range(len(cells)), resolved.width)) < 2:
+        # the whole sweep is one chunk: nothing to fan out, and no
+        # deadline that only a worker process could enforce.  Decided
+        # over every cell, not the pending ones, so a resumed run
+        # resolves (and checkpoints) the same executor as its first run
+        resolved = resolve(1)
 
     ckpt: Optional[SweepCheckpoint] = None
     if checkpoint:
@@ -407,7 +423,7 @@ def _evaluate_cell_list(base_machine: MachineModel,
         ckpt = SweepCheckpoint.load(
             checkpoint, key, resume=resume,
             settings=_checkpoint_settings(backend, model_factory,
-                                          resolved_executor))
+                                          resolved.name))
         if any(not isinstance(payload, dict) or "overrides" not in payload
                for payload in ckpt.completed.values()):
             raise CheckpointError(
@@ -425,7 +441,6 @@ def _evaluate_cell_list(base_machine: MachineModel,
         else:
             pending_indices.append(index)
     resumed = len(cells) - len(pending_indices)
-    pending_cells = [cells[index] for index in pending_indices]
 
     def record(index: int, projection: Dict[str, Any]) -> None:
         projections[index] = projection
@@ -434,58 +449,29 @@ def _evaluate_cell_list(base_machine: MachineModel,
             ckpt.record(overrides_key(cell),
                         {"overrides": dict(cell), **projection})
 
-    source: Any = (SymbolicBET(program, entry=entry, library=library)
-                   if symbolic else bet)
+    # a chunk stops at its first failing cell when that failure is final
+    fail_fast = strict and policy is None and timeout is None
+    chunks = plan(pending_indices, resolved.width)
 
-    def point_payload(cell):
-        return (source, base_machine, cell, base_inputs, model_factory, k)
+    def chunk_payload(chunk):
+        chunk_cells = [cells[index] for index in chunk]
+        signature = cell_signature(chunk_cells[0]) if vector else None
+        shipped = (pack_group(chunk_cells, signature) if signature
+                   else chunk_cells)
+        return (source, base_machine, shipped, base_inputs, model_factory,
+                k, fail_fast)
 
-    stages: Dict[str, float] = {}
-    shard_stats: Dict[str, float] = {}
     try:
-        if symbolic or resolved_executor is not None:
-            size = _chunk_size(len(pending_cells), workers,
-                               resolved_executor, shards, chunk_size,
-                               vector=(backend == "vector"))
-            if backend == "vector":
-                # grouped dispatch (DESIGN.md §15): every chunk is one
-                # lane-group slice, shipped as a columnar LanePack, or a
-                # slice of the unbatchable residue
-                chunks = plan_lane_chunks(pending_cells, size)
-            else:
-                chunks = [list(range(start, min(start + size,
-                                                 len(pending_cells))))
-                          for start in range(0, len(pending_cells), size)]
-
-            def chunk_payload(chunk):
-                if not symbolic:
-                    return (_cell_point_task,
-                            [point_payload(cell) for cell in chunk])
-                signature = (cell_signature(chunk[0])
-                             if backend == "vector" else None)
-                shipped = (pack_group(chunk, signature) if signature
-                           else list(chunk))
-                return (source, base_machine, shipped, base_inputs,
-                        model_factory, k)
-
-            failures, stages = _run_chunked(
-                pending_cells, pending_indices, chunks,
-                chunk_payload=chunk_payload, point_payload=point_payload,
-                chunk_task=(_cell_chunk_task if symbolic
-                            else _point_chunk_task),
-                point_task=_cell_point_task, describe=describe,
-                record=record, workers=workers, strict=strict,
-                policy=policy, timeout=timeout,
-                executor=resolved_executor, shard_stats=shard_stats)
-        else:
-            failures = resilient_map(
-                _cell_point_task,
-                [point_payload(cell) for cell in pending_cells],
-                workers=workers, policy=policy, timeout=timeout,
-                strict=strict, indices=pending_indices,
-                describe=lambda payload: describe(payload[2]),
-                on_point=lambda local, projection: record(
-                    pending_indices[local], projection)).failures
+        failures, stages, shard_stats = _run_chunked(
+            cells, chunks, [chunk_payload(chunk) for chunk in chunks],
+            point_payload=point_payload, chunk_task=chunk_task,
+            describe=describe, record=record, workers=workers,
+            strict=strict, policy=policy, timeout=timeout,
+            executor=resolved,
+            # a named executor supervises its shards (retry per policy,
+            # then quarantine); the default one only batches the
+            # per-point model, so a chunk it loses goes to phase 2
+            quarantine=executor is not None)
     finally:
         if ckpt is not None:
             ckpt.flush()
@@ -518,8 +504,7 @@ def _evaluate_cell_list(base_machine: MachineModel,
             "parse_cache_hits": stages.get("parse_cache_hits", 0.0)}
     return _CellRun(
         projections=projections, failures=failures, timings=timings,
-        counters=counters, backend=backend,
-        executor=(resolved_executor.name if resolved_executor else ""),
+        counters=counters, backend=backend, executor=resolved.name,
         shard_stats=shard_stats,
         diagnostics=list(ckpt.diagnostics) if ckpt is not None else [])
 
@@ -699,8 +684,8 @@ def sweep_grid(bet: Optional[BETNode], base_machine: MachineModel,
         supervision, and poison-shard quarantine.  ``topology`` selects
         the simulated cluster for ``"multinode"``; ``chaos`` injects a
         :class:`~repro.parallel.chaos.ChaosSchedule` of executor-layer
-        faults.  ``executor=None`` (default) keeps the legacy dispatch
-        path, bit-identically.
+        faults.  ``executor=None`` (default) resolves from ``workers``: in
+        process for ``workers=1``, else a process pool of that width.
     """
     if not grid or any(len(list(values)) == 0 for values in grid.values()):
         raise AnalysisError("grid needs at least one value per parameter")
@@ -853,21 +838,6 @@ def _auto_chunk_size(total: int, workers: int,
     return max(1, min(total, max(per_worker, floor)))
 
 
-def _chunk_size(total: int, workers: int,
-                executor: Optional[SweepExecutor], shards: Optional[int],
-                chunk_size: Optional[int], vector: bool) -> int:
-    """Cells per shipped chunk: ``shards`` splits the cells evenly on an
-    executor, else an explicit ``chunk_size`` wins, else
-    :func:`_auto_chunk_size` over the dispatch width."""
-    if executor is not None and shards:
-        return max(1, -(-total // max(1, int(shards))))
-    if chunk_size is not None:
-        return max(1, chunk_size)
-    return _auto_chunk_size(
-        total, executor.width if executor is not None else workers,
-        vector=vector)
-
-
 def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
                      has_input_axes: bool = True) -> str:
     """Validate and resolve a sweep's ``backend`` choice.
@@ -898,8 +868,7 @@ def _resolve_backend(backend: str, points: int, has_machine_axes: bool,
 
 def _checkpoint_settings(backend: str,
                          model_factory: Optional[Callable],
-                         resolved_executor: Optional[SweepExecutor],
-                         ) -> Dict[str, str]:
+                         executor: str) -> Dict[str, str]:
     """Evaluation-semantics fingerprint stored inside a checkpoint.
 
     A resumed run must produce points comparable with the stored ones,
@@ -908,150 +877,108 @@ def _checkpoint_settings(backend: str,
     *how* a point's numbers were computed, as opposed to *which* points
     (those live in the sweep key).  The backend is recorded post-
     resolution: ``auto`` that resolved to ``vector`` is the same
-    semantics as an explicit ``vector``.
+    semantics as an explicit ``vector``, and ``executor=None`` records
+    the executor it resolved to.
     """
-    return {
-        "backend": backend,
-        "cache_model": factory_tag(model_factory),
-        "executor": resolved_executor.name if resolved_executor is not None
-        else "legacy",
-    }
+    return {"backend": backend, "cache_model": factory_tag(model_factory),
+            "executor": executor}
 
 
-def _run_chunked(items: Sequence,
-                 indices: Sequence[int],
+def _run_chunked(cells: Sequence,
                  chunks: List[List[int]],
-                 chunk_payload: Callable[[Sequence], Any],
+                 payloads: List[Any],
                  point_payload: Callable[[Any], Any],
                  chunk_task: Callable,
-                 point_task: Callable,
                  describe: Callable[[Any], str],
                  record: Callable[[int, Any], None],
                  workers: int,
                  strict: bool,
                  policy: Optional[RetryPolicy],
                  timeout: Optional[float],
-                 executor: Optional[SweepExecutor] = None,
-                 shard_stats: Optional[Dict[str, float]] = None):
+                 executor,
+                 quarantine: bool):
     """Chunked two-phase dispatch of the sweep core.
 
-    ``chunks`` are position lists into ``items`` forming a partition —
-    contiguous slices, or lane-group slices from
-    :func:`~repro.parallel.lanes.plan_lane_chunks`; results scatter back
-    through the caller's ``indices`` either way.  Phase 1 ships each
-    chunk as one task so a worker amortizes one symbolic build (and the
-    expression-compile warmup) across the chunk; the chunk task traps
-    per-point errors, so one bad point never poisons its chunk-mates.
-    Phase 2 re-dispatches only the failed points one at a time through
-    :func:`resilient_map` whenever retry / timeout / strict semantics are
-    configured — exactly the per-point fault model — and otherwise
-    converts the captured errors straight into :class:`PointFailure`
-    records.
+    ``chunks`` are lists of indices into ``cells`` (contiguous runs, or
+    lane-group slices from :func:`~repro.parallel.lanes.plan_lane_chunks`)
+    shipped as ``payloads``.  Phase 1 runs each chunk as one shard of a
+    :class:`~repro.parallel.shard.ShardScheduler` on ``executor``, so a
+    worker amortizes one symbolic build across the chunk; the chunk task
+    traps per-point errors as rows.  With ``quarantine`` the scheduler
+    retries a faulting shard per ``policy`` and a shard it quarantines is
+    terminal (its points become :class:`PointFailure` records); without
+    it a shard gets one attempt and its points fail like points failing
+    inside a healthy chunk.  Those get phase 2 — one at a time through
+    :func:`resilient_map`, so a hung point times out alone — only when a
+    retry policy or timeout is configured; otherwise they are final:
+    recorded, or under ``strict`` the lowest failing index raises
+    :class:`~repro.errors.RetryExhaustedError` from its first attempt.
 
-    With an ``executor``, phase 1 routes through the
-    :class:`~repro.parallel.shard.ShardScheduler` instead of
-    :func:`resilient_map`: each chunk becomes one shard, dispatched with
-    work-stealing and supervised for crashes, heartbeat loss, timeouts,
-    and envelope corruption.  A shard the scheduler quarantines is
-    terminal — its points become :class:`PointFailure` records directly
-    (phase 2 never sees them), preserving the sweep's completeness
-    accounting.  Points that fail *inside* a healthy shard keep the
-    normal phase-2 per-point semantics, so results are bit-identical to
-    the executor-less path.
-
-    Every computed point goes to ``record(global_index, value)``.
-    Returns ``(failures, stages)`` where ``stages`` accumulates per-stage
-    seconds and cache counters across every chunk; scheduler counters
-    are merged into the caller's ``shard_stats`` dict.
+    Every computed point goes to ``record(index, value)``.
+    Returns ``(failures, stages, shard_stats)``: ``stages`` sums
+    per-stage seconds and cache counters over the chunks, ``shard_stats``
+    holds the scheduler's counters.
     """
-    chunk_size = max((len(positions) for positions in chunks), default=1)
-    chunk_items = [[items[position] for position in positions]
-                   for positions in chunks]
-    payloads = [chunk_payload(chunk) for chunk in chunk_items]
-
-    fail_rows: Dict[int, Any] = {}
+    chunk_size = max((len(chunk) for chunk in chunks), default=1)
+    fail_rows: Dict[int, PointFailure] = {}
     stages: Dict[str, float] = {}
 
     def on_chunk(local: int, result) -> None:
         rows, stats = result
         for name, value in stats.items():
             stages[name] = stages.get(name, 0.0) + value
-        for offset, row in enumerate(rows):
-            global_index = indices[chunks[local][offset]]
+        for index, row in zip(chunks[local], rows):
             if row[0] == "ok":
-                record(global_index, row[1])
+                record(index, row[1])
             else:
-                fail_rows[global_index] = row
+                fail_rows[index] = row[1]
 
-    quarantine_failures: List[PointFailure] = []
-    if executor is not None:
-        scheduler = ShardScheduler(
-            executor, policy=policy,
-            timeout=(timeout * chunk_size if timeout else None))
-        run = scheduler.run(chunk_task, payloads,
-                            sizes=[len(chunk) for chunk in chunk_items],
-                            on_result=on_chunk)
-        if shard_stats is not None:
-            shard_stats.update(run.stats)
-        for shard_id in sorted(run.quarantined):
-            error = run.quarantined[shard_id]
-            if strict:
-                raise error
-            for position in chunks[shard_id]:
-                quarantine_failures.append(PointFailure(
-                    index=indices[position],
-                    error_type=error.error_type,
-                    message=(f"shard {shard_id} quarantined after "
-                             f"{error.attempts} attempts: "
-                             f"{error.message}"),
-                    traceback="", attempts=error.attempts,
-                    item=describe(items[position])))
-    else:
-        outcome = resilient_map(
-            chunk_task, payloads, workers=workers, policy=None,
-            timeout=(timeout * chunk_size if timeout else None),
-            strict=False,
-            describe=lambda payload: f"chunk[{len(payload[2])} points]",
-            on_point=on_chunk)
-        for failure in outcome.failures:
-            for position in chunks[failure.index]:
-                fail_rows[indices[position]] = failure
-
+    scheduler = ShardScheduler(
+        executor, policy=policy if quarantine else None,
+        timeout=(timeout * chunk_size if timeout else None))
+    run = scheduler.run(chunk_task, payloads,
+                        sizes=[len(chunk) for chunk in chunks],
+                        on_result=on_chunk)
     failures: List[PointFailure] = []
-    if fail_rows:
-        position = {global_index: local
-                    for local, global_index in enumerate(indices)}
-        targets = sorted(fail_rows)
-        if policy is not None or timeout is not None or strict:
-            # phase 2: the failed points get PR 2's full per-point
-            # semantics — retries with backoff, exact timeouts, fail-fast
-            retried = resilient_map(
-                point_task,
-                [point_payload(items[position[g]]) for g in targets],
-                workers=workers, policy=policy, timeout=timeout,
-                strict=strict, indices=targets,
-                describe=lambda payload: describe(payload[2]),
-                on_point=lambda local, value: record(targets[local],
-                                                     value))
-            failures = retried.failures
-        else:
-            for global_index in targets:
-                row = fail_rows[global_index]
-                item = describe(items[position[global_index]])
-                if isinstance(row, PointFailure):
-                    failures.append(PointFailure(
-                        index=global_index, error_type=row.error_type,
-                        message=row.message, traceback=row.traceback,
-                        attempts=row.attempts, item=item))
-                else:
-                    failures.append(PointFailure(
-                        index=global_index, error_type=row[1],
-                        message=row[2], traceback=row[3],
-                        attempts=1, item=item))
-    if quarantine_failures:
-        failures = sorted(failures + quarantine_failures,
-                          key=lambda failure: failure.index)
-    return failures, stages
+    for shard_id in sorted(run.quarantined):
+        error = run.quarantined[shard_id]
+        if not quarantine:
+            fail_rows.update((index, PointFailure(
+                index, error.error_type, error.message, "", error.attempts))
+                for index in chunks[shard_id])
+            continue
+        if strict:
+            raise error
+        failures += [PointFailure(
+            index=index, error_type=error.error_type,
+            message=(f"shard {shard_id} quarantined after "
+                     f"{error.attempts} attempts: {error.message}"),
+            traceback="", attempts=error.attempts,
+            item=describe(cells[index])) for index in chunks[shard_id]]
+
+    targets = sorted(fail_rows)
+    if targets and (policy is not None or timeout is not None):
+        # phase 2: the failed points get the full per-point semantics —
+        # retries with backoff, exact timeouts, fail-fast
+        failures += resilient_map(
+            _cell_point_task,
+            [point_payload(cells[index]) for index in targets],
+            workers=workers, policy=policy, timeout=timeout,
+            strict=strict, indices=targets,
+            describe=lambda payload: describe(payload[2]),
+            on_point=lambda local, value: record(targets[local],
+                                                 value)).failures
+    elif targets and strict:
+        first = fail_rows[targets[0]]
+        raise RetryExhaustedError(targets[0], first.attempts,
+                                  first.error_type, first.message,
+                                  first.traceback) from first.exception
+    else:
+        failures += [replace(fail_rows[index], index=index,
+                             item=describe(cells[index]))
+                     for index in targets]
+    failures.sort(key=lambda failure: failure.index)
+    return failures, stages, run.stats
 
 
 # -- worker tasks ---------------------------------------------------------------
@@ -1128,17 +1055,21 @@ def _stage_delta(sym: SymbolicBET, before: Dict[str, float],
 
 
 def _fail_row(exc: Exception) -> Tuple:
-    return ("fail", type(exc).__name__, str(exc), _tb.format_exc())
+    # the record keeps the live exception (the strict error's cause) for
+    # as long as the row stays in this process
+    return ("fail", PointFailure.from_exception(0, exc, 1))
 
 
 def _scalar_rows(sym: SymbolicBET, base_machine: MachineModel, cells,
-                 base_inputs, model_factory, k: int):
+                 base_inputs, model_factory, k: int,
+                 fail_fast: bool = False):
     """Bind and project cells one at a time.
 
     One timing model serves every cell of a machine signature (a model
     depends only on the machine's numeric fields), and consecutive cells
     with equal bindings share one bind.  Returns ``(rows,
-    project_seconds)``; per-cell errors become fail rows.
+    project_seconds)``; per-cell errors become fail rows, and with
+    ``fail_fast`` the first one ends the loop.
     """
     factory = model_factory or RooflineModel
     models: Dict[Tuple, Any] = {}
@@ -1168,12 +1099,15 @@ def _scalar_rows(sym: SymbolicBET, base_machine: MachineModel, cells,
             project_seconds += time.perf_counter() - started
         except Exception as exc:              # captured, re-raised in phase 2
             rows.append(_fail_row(exc))
+            if fail_fast:
+                break
             bet, bound_key = None, None   # bind state unknown after a fault
     return rows, project_seconds
 
 
 def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
-                    pack: LanePack, base_inputs, model_factory, k: int):
+                    pack: LanePack, base_inputs, model_factory, k: int,
+                    fail_fast: bool = False):
     """Batch-evaluate one packed lane-group slice (DESIGN.md §15).
 
     The pack is a single machine signature, so the whole chunk is one
@@ -1182,7 +1116,8 @@ def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
     or the whole pack, if the model or the batch cannot be built) run
     through :func:`_scalar_rows`, which reproduces the canonical
     per-cell result or error.  Returns ``(rows, project_seconds,
-    lane_groups)`` in lane (= original chunk) order.
+    lane_groups)`` in lane (= original chunk) order; with ``fail_fast``
+    the rows end before the first fallback lane left unrun.
     """
     factory = model_factory or RooflineModel
     project_seconds = 0.0
@@ -1205,9 +1140,11 @@ def _lane_pack_rows(sym: SymbolicBET, base_machine: MachineModel,
         cells = pack.cells()
         fallback_rows, seconds = _scalar_rows(
             sym, base_machine, [cells[lane] for lane in fallback],
-            base_inputs, model_factory, k)
+            base_inputs, model_factory, k, fail_fast)
         for lane, row in zip(fallback, fallback_rows):
             rows[lane] = row
+        if len(fallback_rows) < len(fallback):
+            rows = rows[:fallback[len(fallback_rows)]]
         project_seconds += seconds
     return rows, project_seconds, lane_groups
 
@@ -1221,15 +1158,18 @@ def _cell_chunk_task(payload):
     replays after) amortizes across every cell, and per-cell errors are
     captured as rows, never raised, so chunk-mates always complete.
     """
-    shipped, base_machine, cells, base_inputs, model_factory, k = payload
+    (shipped, base_machine, cells, base_inputs, model_factory, k,
+     fail_fast) = payload
     with _symbolic_for(shipped) as sym:
         before = _stage_snapshot(sym)
         if isinstance(cells, LanePack):
             rows, project_seconds, lane_groups = _lane_pack_rows(
-                sym, base_machine, cells, base_inputs, model_factory, k)
+                sym, base_machine, cells, base_inputs, model_factory, k,
+                fail_fast)
         else:
             rows, project_seconds = _scalar_rows(
-                sym, base_machine, cells, base_inputs, model_factory, k)
+                sym, base_machine, cells, base_inputs, model_factory, k,
+                fail_fast)
             lane_groups = 0
         delta = _stage_delta(sym, before, project_seconds)
     delta["lane_groups"] = float(lane_groups)
@@ -1251,19 +1191,25 @@ def _cell_point_task(payload) -> Dict[str, Any]:
 
 
 def _point_chunk_task(payload):
-    """Executor shard task: a batch of independent per-point payloads.
+    """Process-pool task: project one chunk of machine-only cells.
 
-    Wraps a per-point task into the chunked ``(rows, stats)`` protocol
-    so machine-only cells shard exactly like input cells: per-point
-    errors become fail rows (phase-2 territory), never shard faults.
+    Runs :func:`_cell_point_task` per cell in the chunked ``(rows,
+    stats)`` protocol, so machine-only cells shard exactly like input
+    cells: per-point errors become fail rows (phase-2 territory), never
+    shard faults, and with ``fail_fast`` the first one ends the chunk.
     """
-    task, point_payloads = payload
+    source, base_machine, cells, base_inputs, model_factory, k, \
+        fail_fast = payload
     rows = []
-    for point_payload in point_payloads:
+    for cell in cells:
         try:
-            rows.append(("ok", task(point_payload)))
+            rows.append(("ok", _cell_point_task(
+                (source, base_machine, cell, base_inputs, model_factory,
+                 k))))
         except Exception as exc:
             rows.append(_fail_row(exc))
+            if fail_fast:
+                break
     return rows, {}
 
 
@@ -1295,7 +1241,9 @@ def analyze_matrix(workloads: Sequence[str],
     With ``strict=False`` a failing matrix point (after any retries per
     ``policy``, or exceeding ``timeout`` on the parallel path) occupies
     its slot as a :class:`~repro.parallel.PointFailure` record instead of
-    aborting the batch; healthy points are unaffected.
+    aborting the batch; healthy points are unaffected.  ``strict=True``
+    raises :class:`~repro.errors.RetryExhaustedError` (chained from the
+    original error) for the first failing point.
     """
     from ..experiments import pipeline
     option_sets = [dict(options) for options in (ablations or [{}])]
@@ -1304,28 +1252,19 @@ def analyze_matrix(workloads: Sequence[str],
              for machine in machines
              for options in option_sets]
     started = time.perf_counter()
-    if strict and policy is None and timeout is None:
-        if workers > 1 and len(tasks) > 1:
-            results = parallel_map(_analyze_task, tasks, workers=workers)
-            for analysis, (name, machine, options) in zip(results, tasks):
-                pipeline.remember(analysis, **dict(options))
-        else:
-            results = [_analyze_task(task) for task in tasks]
-    else:
-        outcome = resilient_map(
-            _analyze_task, tasks, workers=workers, policy=policy,
-            timeout=timeout, strict=strict,
-            describe=lambda task: f"{task[0]}@{getattr(task[1], 'name', task[1])}")
-        results = []
-        for slot, (value, task) in enumerate(zip(outcome.results, tasks)):
-            if value is None:
-                failure = next(f for f in outcome.failures
-                               if f.index == slot)
-                results.append(failure)
-                continue
-            if workers > 1:
-                pipeline.remember(value, **dict(task[2]))
-            results.append(value)
+    outcome = resilient_map(
+        _analyze_task, tasks, workers=workers, policy=policy,
+        timeout=timeout, strict=strict,
+        describe=lambda task: f"{task[0]}@{getattr(task[1], 'name', task[1])}")
+    failures = {failure.index: failure for failure in outcome.failures}
+    results = []
+    for slot, (value, task) in enumerate(zip(outcome.results, tasks)):
+        if slot in failures:
+            results.append(failures[slot])
+            continue
+        if workers > 1:
+            pipeline.remember(value, **dict(task[2]))
+        results.append(value)
     elapsed = time.perf_counter() - started
     for analysis in results:
         if hasattr(analysis, "timings"):

@@ -1,16 +1,21 @@
 """Pluggable executors for sharded sweep dispatch (DESIGN.md §12).
 
 A :class:`SweepExecutor` is the substrate the
-:class:`~repro.parallel.shard.ShardScheduler` dispatches shards onto.
-Three implementations ship:
+:class:`~repro.parallel.shard.ShardScheduler` dispatches shards onto, and
+the only way work reaches a worker: every fan-out in the package is a
+scheduler run over one.  Three implementations ship:
 
 * :class:`SerialExecutor` — one in-process worker; the reference
   semantics every other executor must match bit-for-bit, and the
-  cheapest host for the chaos harness;
-* :class:`PoolExecutor` — the existing :class:`ProcessPoolExecutor`
-  machinery behind worker slots, with real crash detection (a broken
-  pool becomes crash events and a fresh pool), per-shard deadlines, and
-  hung-worker reaping via :func:`~repro.parallel.pool.abandon_pool`;
+  cheapest host for the chaos harness.  Results are handed back as is:
+  nothing crosses a process boundary, so nothing is pickled or
+  checksummed;
+* :class:`PoolExecutor` — the package's one
+  :class:`ProcessPoolExecutor`, behind worker slots, with real crash
+  detection (a broken pool becomes crash events and a fresh pool),
+  per-shard deadlines, hung-worker reaping via :func:`abandon_pool`,
+  and one shard queued behind each running one so no worker idles
+  while the parent refills it;
 * :class:`MultinodeExecutor` — a simulated cluster over a
   :class:`~repro.multinode.cluster.ClusterTopology`: shard tasks are
   pure, so they execute in-process while a deterministic virtual clock
@@ -21,7 +26,7 @@ The executor protocol is event-based: the scheduler calls
 :meth:`dispatch` for idle workers and :meth:`wait` for a batch of
 ``(kind, shard_id, worker, detail)`` events::
 
-    ("result",  shard_id, worker, ShardEnvelope)
+    ("result",  shard_id, worker, ShardEnvelope or in-process hand-off)
     ("failed",  shard_id, worker, (error_type, message))
     ("timeout", shard_id, worker, None)
     ("crash",   -1,       worker, [lost shard ids])
@@ -35,16 +40,19 @@ chaos suite proves are the paths production faults take.
 
 from __future__ import annotations
 
+import atexit
+import os
+import pickle
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ExecutorError
 from ..multinode.cluster import CLUSTER_PRESETS, DUAL_NODE, ClusterTopology
 from .chaos import ChaosSchedule
-from .pool import abandon_pool, default_workers, reap_abandoned
 from .shard import ShardEnvelope
 
 #: executor names accepted by the CLI and :func:`resolve_executor`
@@ -52,6 +60,74 @@ EXECUTOR_NAMES = ("serial", "pool", "multinode")
 
 Event = Tuple[str, int, str, Any]
 
+
+# -- worker processes ---------------------------------------------------------
+
+#: worker processes of pools abandoned because a worker hung; reaped
+#: lazily and at exit (the processes, not the pools: ``shutdown`` nulls
+#: the pool's ``_processes`` map, so they must be snapshotted first)
+_ABANDONED: List[Any] = []
+_ABANDONED_LOCK = threading.Lock()
+
+
+def abandon_pool(pool: ProcessPoolExecutor) -> None:
+    """Give up on a pool with a hung worker without blocking on it.
+
+    ``shutdown(wait=False)`` alone leaks the hung child for the life of
+    the parent; this terminates every worker and parks it for
+    :func:`reap_abandoned` (called after each abandon and at exit).
+    """
+    # snapshot before shutdown: shutdown() sets pool._processes to None
+    # even with wait=False, losing the only handles to the children
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:
+            pass
+    with _ABANDONED_LOCK:
+        _ABANDONED.extend(processes)
+
+
+def reap_abandoned(timeout: float = 1.0) -> int:
+    """Join every abandoned worker process, killing stragglers; returns
+    how many are confirmed dead (a survivor waits for the next call)."""
+    with _ABANDONED_LOCK:
+        processes = list(_ABANDONED)
+        _ABANDONED.clear()
+    reaped = 0
+    stubborn = []
+    for process in processes:
+        try:
+            process.join(timeout=timeout)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=timeout)
+            if process.is_alive():
+                stubborn.append(process)
+            else:
+                reaped += 1
+        except Exception:
+            pass
+    if stubborn:
+        with _ABANDONED_LOCK:
+            _ABANDONED.extend(stubborn)
+    return reaped
+
+
+atexit.register(reap_abandoned)
+
+
+def default_workers() -> int:
+    """A sensible worker count for this host (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+# -- the protocol -------------------------------------------------------------
 
 class SweepExecutor:
     """The executor protocol (see the module docstring for the events).
@@ -89,6 +165,55 @@ class SweepExecutor:
         raise NotImplementedError
 
 
+class _Handoff(NamedTuple):
+    """A shard result produced in this process: nothing crossed a
+    boundary, so nothing is pickled or checksummed (live exceptions in
+    the value survive)."""
+
+    attempt: int
+    value: Any
+
+    def unpack(self) -> Any:
+        return self.value
+
+
+def _withheld(chaos: Optional[ChaosSchedule], shard_id: int, attempt: int,
+              worker: str) -> Optional[Event]:
+    """The event an injected kill, partition or stall turns this dispatch
+    into (the shard's work is withheld, as a failed worker would), or
+    ``None`` when no such fault is scheduled."""
+    if chaos is None:
+        return None
+    if chaos.take("kill", shard_id, attempt, worker):
+        return ("crash", -1, worker, [shard_id])
+    if chaos.take("drop_heartbeats", shard_id, attempt, worker):
+        return ("dead", -1, worker, [shard_id])
+    if chaos.take("stall", shard_id, attempt, worker):
+        return ("timeout", shard_id, worker, None)
+    return None
+
+
+def _run_here(task: Callable[[Any], Any], chaos: Optional[ChaosSchedule],
+              shard_id: int, attempt: int, worker: str,
+              payload: Any) -> Event:
+    """Run one shard in this process and report it as an event.
+
+    An injected ``corrupt`` still packs and damages a real envelope, so
+    the scheduler's checksum detection runs exactly as for a result that
+    crossed a boundary.
+    """
+    try:
+        value = task(payload)
+    except Exception as exc:
+        return ("failed", shard_id, worker, (type(exc).__name__, str(exc)))
+    if chaos is not None and chaos.take("corrupt", shard_id, attempt,
+                                        worker):
+        return ("result", shard_id, worker,
+                ShardEnvelope.pack(shard_id, attempt, worker,
+                                   value).corrupted())
+    return ("result", shard_id, worker, _Handoff(attempt, value))
+
+
 # -- serial (reference) -------------------------------------------------------
 
 class SerialExecutor(SweepExecutor):
@@ -107,7 +232,7 @@ class SerialExecutor(SweepExecutor):
         super().__init__()
         self.chaos = chaos
         self._task: Optional[Callable[[Any], Any]] = None
-        self._queue: List[Tuple[int, int, Any, Optional[float]]] = []
+        self._queue: List[Tuple[int, int, Any]] = []
 
     def open(self, task):
         self._task = task
@@ -119,32 +244,18 @@ class SerialExecutor(SweepExecutor):
 
     def dispatch(self, shard_id, attempt, payload, worker, timeout=None):
         self.stats["dispatches"] += 1
-        self._queue.append((shard_id, attempt, payload, timeout))
+        self._queue.append((shard_id, attempt, payload))
 
     def wait(self):
         if not self._queue:
             return []
-        shard_id, attempt, payload, _timeout = self._queue.pop(0)
-        worker = self.WORKER
-        if self.chaos is not None:
-            if self.chaos.take("kill", shard_id, attempt, worker):
-                return [("crash", -1, worker, [shard_id])]
-            if self.chaos.take("drop_heartbeats", shard_id, attempt,
-                               worker):
-                return [("dead", -1, worker, [shard_id])]
-            if self.chaos.take("stall", shard_id, attempt, worker):
-                return [("timeout", shard_id, worker, None)]
-        try:
-            value = self._task(payload)
-        except Exception as exc:
-            return [("failed", shard_id, worker,
-                     (type(exc).__name__, str(exc)))]
-        self.stats["executed"] += 1
-        envelope = ShardEnvelope.pack(shard_id, attempt, worker, value)
-        if self.chaos is not None and self.chaos.take(
-                "corrupt", shard_id, attempt, worker):
-            envelope = envelope.corrupted()
-        return [("result", shard_id, worker, envelope)]
+        shard_id, attempt, payload = self._queue.pop(0)
+        event = (_withheld(self.chaos, shard_id, attempt, self.WORKER)
+                 or _run_here(self._task, self.chaos, shard_id, attempt,
+                              self.WORKER, payload))
+        if event[0] == "result":
+            self.stats["executed"] += 1
+        return [event]
 
     def close(self):
         self._queue = []
@@ -161,33 +272,47 @@ def _pool_shard_task(task: Callable[[Any], Any], shard_id: int,
 
 
 class _Slot:
-    """One pool worker slot's in-flight bookkeeping."""
+    """One shard in flight on the pool."""
 
-    __slots__ = ("shard_id", "attempt", "future", "deadline", "zombie")
+    __slots__ = ("worker", "shard_id", "attempt", "payload", "future",
+                 "timeout", "deadline", "zombie")
 
-    def __init__(self, shard_id, attempt, future, deadline):
+    def __init__(self, worker, shard_id, attempt, payload, future,
+                 timeout):
+        self.worker = worker
         self.shard_id = shard_id
         self.attempt = attempt
+        self.payload = payload
         self.future = future
-        self.deadline = deadline
-        self.zombie = False     #: timed out; slot unusable until it ends
+        self.timeout = timeout
+        self.deadline: Optional[float] = None   #: set once it can run
+        self.zombie = False     #: timed out; still holds its process
 
 
 class PoolExecutor(SweepExecutor):
     """Process-pool executor with crash detection and deadline policing.
 
-    Worker slots are named ``pool-0..N-1``.  A broken pool (a worker
-    segfaulted or was OOM-killed) becomes one crash event per in-flight
-    shard and a fresh pool; a shard that outlives its deadline becomes a
-    timeout event while its slot is quarantined as a zombie until the
-    hung future resolves (the pool cannot pre-empt one worker).  On
-    close, a pool holding zombies is abandoned —
-    workers terminated and reaped — instead of waited on.
+    Worker slots are named ``pool-0..N-1``; each holds the shard its
+    process runs plus one queued behind it, so a process never idles
+    through the parent's wake → unpack → refill round trip.  The pool
+    runs shards in submission order, so a shard can run once fewer than
+    ``workers`` shards submitted before it are unfinished — and only then
+    does its deadline start.  A broken pool (a worker segfaulted or was
+    OOM-killed) becomes one crash event per in-flight shard and a fresh
+    pool; a shard that outlives its deadline becomes a timeout event and
+    a zombie holding its process until the hung future resolves (the
+    pool cannot pre-empt one worker).  Once zombies hold every process,
+    the shards queued behind them move to a fresh pool.  A pool holding
+    zombies is abandoned — workers terminated and reaped — and a healthy
+    one is shut down without waiting for its workers to exit.  A host that
+    cannot start worker processes runs every shard in-process instead.
     """
 
     name = "pool"
-    #: polling granularity while no future is done and no deadline due
+    #: polling granularity while every running shard is a zombie
     TICK = 0.05
+    #: shards in flight per worker slot: the running one plus look-ahead
+    DEPTH = 2
 
     def __init__(self, workers: Optional[int] = None,
                  chaos: Optional[ChaosSchedule] = None):
@@ -197,7 +322,7 @@ class PoolExecutor(SweepExecutor):
         self.chaos = chaos
         self._task: Optional[Callable[[Any], Any]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._slots: Dict[str, Optional[_Slot]] = {}
+        self._flight: List[_Slot] = []      #: in submission order
         self._events: List[Event] = []
 
     @property
@@ -206,124 +331,181 @@ class PoolExecutor(SweepExecutor):
 
     def open(self, task):
         self._task = task
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        self._slots = {f"pool-{index}": None
-                       for index in range(self.workers)}
+        self._flight = []
         self._events = []
         self.stats = {"dispatches": 0.0, "pool_rebuilds": 0.0,
-                      "timeouts": 0.0, "crashes": 0.0}
+                      "timeouts": 0.0, "crashes": 0.0, "in_process": 0.0}
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> Optional[ProcessPoolExecutor]:
+        """A fresh pool, or ``None`` when this host cannot build one."""
+        try:
+            return ProcessPoolExecutor(max_workers=self.workers)
+        except (OSError, ImportError, NotImplementedError):
+            return None
 
     def idle_workers(self):
-        return [worker for worker, slot in self._slots.items()
-                if slot is None]
+        if self._pool is None:      # in-process: one shard at a time
+            return [] if self._events else ["pool-0"]
+        load = {f"pool-{index}": 0 for index in range(self.workers)}
+        for slot in self._flight:
+            load[slot.worker] += 1
+        return sorted((worker for worker, count in load.items()
+                       if count < self.DEPTH), key=load.__getitem__)
 
     def dispatch(self, shard_id, attempt, payload, worker, timeout=None):
-        if self._slots.get(worker) is not None:
+        if worker not in self.idle_workers():
             raise ExecutorError(f"worker {worker} is not idle")
         self.stats["dispatches"] += 1
-        if self.chaos is not None:
-            # simulated substrate faults: the shard's work is withheld
-            # and the matching supervision event queued, deterministic
-            # regardless of pool timing
-            if self.chaos.take("kill", shard_id, attempt, worker):
+        withheld = _withheld(self.chaos, shard_id, attempt, worker)
+        if withheld is not None:
+            # simulated substrate faults: deterministic regardless of
+            # pool timing
+            if withheld[0] == "timeout":
+                self.stats["timeouts"] += 1
+            self._events.append(withheld)
+            return
+        self._submit(worker, shard_id, attempt, payload, timeout)
+
+    def _submit(self, worker, shard_id, attempt, payload, timeout) -> None:
+        """Put one shard on the pool (or run it here, without one)."""
+        if self._pool is not None:
+            try:
+                future = self._pool.submit(_pool_shard_task, self._task,
+                                           shard_id, attempt, worker,
+                                           payload)
+            except OSError:
+                # the host cannot start worker processes: the run
+                # finishes in-process
+                self._events.extend(self._rebuild(in_process=True))
+            except (BrokenExecutor, RuntimeError):
+                self._events.extend(self._rebuild())
                 self._events.append(("crash", -1, worker, [shard_id]))
                 return
-            if self.chaos.take("drop_heartbeats", shard_id, attempt,
-                               worker):
-                self._events.append(("dead", -1, worker, [shard_id]))
+            else:
+                self._flight.append(_Slot(worker, shard_id, attempt,
+                                          payload, future, timeout))
+                self._start_clocks()
                 return
-            if self.chaos.take("stall", shard_id, attempt, worker):
-                self._events.append(("timeout", shard_id, worker, None))
-                self.stats["timeouts"] += 1
-                return
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        try:
-            future = self._pool.submit(_pool_shard_task, self._task,
-                                       shard_id, attempt, worker, payload)
-        except (BrokenExecutor, OSError, RuntimeError):
-            self._rebuild()
-            self._events.append(("crash", -1, worker, [shard_id]))
-            return
-        self._slots[worker] = _Slot(shard_id, attempt, future, deadline)
+        self.stats["in_process"] += 1
+        self._events.append(_run_here(self._task, self.chaos, shard_id,
+                                      attempt, worker, payload))
 
-    def _rebuild(self):
-        """Replace a broken pool; every live slot's shard is lost."""
-        self.stats["pool_rebuilds"] += 1
-        self.stats["crashes"] += 1
+    def _start_clocks(self) -> List[_Slot]:
+        """Start the deadline of every shard that can now run (zombies
+        still hold their process); returns the live running ones."""
+        now = time.monotonic()
+        running = self._flight[:self.workers]
+        for slot in running:
+            if slot.deadline is None and slot.timeout is not None:
+                slot.deadline = now + slot.timeout
+        return [slot for slot in running if not slot.zombie]
+
+    def _rebuild(self, in_process: bool = False) -> List[Event]:
+        """Replace a broken pool (by none at all when ``in_process``).
+
+        Returns one crash event per shard the old pool still held, zombies
+        excepted (they were already reported as timeouts).
+        """
+        crashed = [("crash", -1, slot.worker, [slot.shard_id])
+                   for slot in self._flight if not slot.zombie]
         if self._pool is not None:
             abandon_pool(self._pool)
             reap_abandoned()
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        for worker in self._slots:
-            self._slots[worker] = None
+        if not in_process:
+            self.stats["pool_rebuilds"] += 1
+            self.stats["crashes"] += 1
+        self._pool = None if in_process else self._new_pool()
+        self._flight = []
+        return crashed
+
+    def _rehome(self) -> None:
+        """Every process is held by a zombie, so the shards queued behind
+        them cannot start before the hangs end: abandon the pool (reaping
+        the hung workers) and resubmit those shards, which never started,
+        to a fresh one."""
+        waiting = [slot for slot in self._flight if not slot.zombie]
+        abandon_pool(self._pool)
+        reap_abandoned()
+        self.stats["pool_rebuilds"] += 1
+        self._pool = self._new_pool()
+        self._flight = []
+        for slot in waiting:
+            self._submit(slot.worker, slot.shard_id, slot.attempt,
+                         slot.payload, slot.timeout)
 
     def wait(self):
-        if self._events:
-            events, self._events = self._events, []
-            return events
-        live = {worker: slot for worker, slot in self._slots.items()
-                if slot is not None}
-        if not live:
-            return []
-        now = time.monotonic()
-        horizon = self.TICK
-        deadlines = [slot.deadline - now for slot in live.values()
-                     if slot.deadline is not None and not slot.zombie]
-        if deadlines:
-            horizon = max(0.0, min([horizon] + deadlines))
-        _futures_wait([slot.future for slot in live.values()],
-                      timeout=horizon, return_when=FIRST_COMPLETED)
+        while not self._events and self._flight:
+            running = self._start_clocks()
+            if not running and not all(slot.zombie
+                                       for slot in self._flight):
+                self._rehome()
+                continue
+            deadlines = [slot.deadline - time.monotonic()
+                         for slot in running if slot.deadline is not None]
+            # block until a shard finishes or a deadline falls due; when
+            # every running shard is a zombie, poll so the scheduler's
+            # watchdog sees the stall
+            horizon = (max(0.0, min(deadlines)) if deadlines
+                       else None if running else self.TICK)
+            _futures_wait([slot.future for slot in self._flight],
+                          timeout=horizon, return_when=FIRST_COMPLETED)
+            events = self._collect()
+            if events or not running:
+                return events
+        events, self._events = self._events, []
+        return events
+
+    def _collect(self) -> List[Event]:
+        """Turn finished futures and due deadlines into events."""
         events: List[Event] = []
         now = time.monotonic()
-        lost: List[Tuple[str, int]] = []
-        for worker, slot in live.items():
+        lost: List[_Slot] = []
+        for slot in list(self._flight):
             if slot.future.done():
-                self._slots[worker] = None
+                self._flight.remove(slot)
                 if slot.zombie:
-                    continue      # already reported as a timeout
+                    continue          # already reported as a timeout
                 try:
                     envelope = slot.future.result()
-                except (BrokenExecutor, OSError) as exc:
-                    del exc
-                    lost.append((worker, slot.shard_id))
+                except (BrokenExecutor, OSError):
+                    lost.append(slot)
                     continue
                 except Exception as exc:
-                    events.append(("failed", slot.shard_id, worker,
+                    events.append(("failed", slot.shard_id, slot.worker,
                                    (type(exc).__name__, str(exc))))
                     continue
                 if self.chaos is not None and self.chaos.take(
-                        "corrupt", slot.shard_id, slot.attempt, worker):
+                        "corrupt", slot.shard_id, slot.attempt,
+                        slot.worker):
                     envelope = envelope.corrupted()
-                events.append(("result", slot.shard_id, worker, envelope))
+                events.append(("result", slot.shard_id, slot.worker,
+                               envelope))
             elif (slot.deadline is not None and now >= slot.deadline
                   and not slot.zombie):
                 slot.zombie = True
                 self.stats["timeouts"] += 1
-                events.append(("timeout", slot.shard_id, worker, None))
+                events.append(("timeout", slot.shard_id, slot.worker, None))
         if lost:
             # one broken future means the whole pool is gone: the shards
             # whose futures raised died with it, and so did every shard
-            # still in flight on the surviving slots
-            for worker, slot in self._slots.items():
-                if slot is not None and not slot.zombie:
-                    lost.append((worker, slot.shard_id))
-            events.extend(("crash", -1, worker, [shard_id])
-                          for worker, shard_id in lost)
-            self._rebuild()
+            # still in flight
+            events.extend(("crash", -1, slot.worker, [slot.shard_id])
+                          for slot in lost)
+            events.extend(self._rebuild())
         return events
 
     def close(self):
-        if self._pool is None:
-            return
-        if any(slot is not None and slot.zombie
-               for slot in self._slots.values()):
-            abandon_pool(self._pool)
-        else:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+        if self._pool is not None:
+            if any(slot.zombie for slot in self._flight):
+                abandon_pool(self._pool)
+            else:
+                # never block on a healthy pool; its workers exit on their
+                # own once their (bounded) task returns
+                self._pool.shutdown(wait=False, cancel_futures=True)
         reap_abandoned()
         self._pool = None
-        self._slots = {}
+        self._flight = []
 
 
 # -- simulated multi-node cluster ---------------------------------------------
@@ -505,17 +687,31 @@ class MultinodeExecutor(SweepExecutor):
 
 def resolve_executor(spec, workers: Optional[int] = None,
                      topology=None,
-                     chaos: Optional[ChaosSchedule] = None
-                     ) -> SweepExecutor:
+                     chaos: Optional[ChaosSchedule] = None,
+                     probe: Any = None) -> SweepExecutor:
     """Build an executor from a CLI-style spec.
 
-    ``spec`` is an executor name (``serial`` / ``pool`` / ``multinode``)
-    or an already-constructed :class:`SweepExecutor` (returned as is).
-    ``topology`` names a :data:`~repro.multinode.cluster.CLUSTER_PRESETS`
-    entry or is a :class:`ClusterTopology`.
+    ``spec`` is an executor name (``serial`` / ``pool`` / ``multinode``),
+    an already-constructed :class:`SweepExecutor` (returned as is), or
+    ``None`` — the default for ``workers``: a :class:`SerialExecutor` for
+    ``workers <= 1``, else a :class:`PoolExecutor` of that width provided
+    ``probe`` (the task with one representative payload) pickles.  Work
+    that does not pickle stays in-process on a :class:`SerialExecutor`.
+    One payload is probed, not the batch: the pool pickles every payload
+    once at submit anyway.  ``topology`` names a
+    :data:`~repro.multinode.cluster.CLUSTER_PRESETS` entry or is a
+    :class:`ClusterTopology`; ``chaos`` applies to named executors.
     """
     if isinstance(spec, SweepExecutor):
         return spec
+    if spec is None:
+        if workers is not None and workers > 1:
+            try:
+                pickle.dumps(probe)
+            except Exception:
+                return SerialExecutor()
+            return PoolExecutor(workers=workers)
+        return SerialExecutor()
     if spec == "serial":
         return SerialExecutor(chaos=chaos)
     if spec == "pool":

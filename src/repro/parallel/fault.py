@@ -32,11 +32,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import time
 import traceback as _traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar,
@@ -46,7 +43,8 @@ from ..errors import (
     CheckpointError, RetryExhaustedError, TaskTimeoutError,
 )
 from ..rng import unit_fraction as _unit_fraction
-from .pool import abandon_pool, reap_abandoned
+from .executors import resolve_executor
+from .shard import ShardScheduler
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -200,15 +198,18 @@ def run_point(fn: Callable[[T], R], item: T, index: int,
 
 
 class _ResilientTask:
-    """Picklable pool task wrapping ``fn`` with in-worker retry."""
+    """Picklable shard task wrapping ``fn`` with in-worker retry."""
 
-    def __init__(self, fn: Callable, policy: Optional[RetryPolicy]):
+    def __init__(self, fn: Callable, policy: Optional[RetryPolicy],
+                 sleep: Callable[[float], None] = time.sleep):
         self.fn = fn
         self.policy = policy
+        self.sleep = sleep
 
     def __call__(self, payload: Tuple[int, Any]) -> Tuple:
         index, item = payload
-        return run_point(self.fn, item, index, self.policy)
+        return run_point(self.fn, item, index, self.policy,
+                         sleep=self.sleep)
 
 
 @dataclass
@@ -246,29 +247,32 @@ def resilient_map(fn: Callable[[T], R], items: Sequence[T],
                   ) -> MapOutcome:
     """Fault-tolerant, order-preserving map over ``items``.
 
-    The resilient sibling of :func:`~repro.parallel.pool.parallel_map`:
-    instead of letting the first exception abort the batch, each point is
-    retried per ``policy`` and, if it still fails, recorded as a
-    :class:`PointFailure` while the remaining points complete.  Healthy
-    results are bit-identical between ``workers=1`` and ``workers=N``.
+    Each point is retried per ``policy`` and, if it still fails, recorded
+    as a :class:`PointFailure` while the remaining points complete.  Each
+    item is one shard of a :class:`~repro.parallel.shard.ShardScheduler`
+    run on the executor ``workers`` resolves to, which owns crash
+    recovery, deadlines and hung-worker reaping.  Healthy results are
+    bit-identical between ``workers=1`` and ``workers=N``.
 
     Parameters
     ----------
     workers:
-        Process-pool width; ``<= 1`` runs serially in-process.
+        Process-pool width; ``<= 1`` (or a single item, or work that
+        does not pickle) runs in-process.
     policy:
         Retry policy (default: no retries).  Retries run inside the
-        worker, with real sleeps; tests inject ``sleep`` on the serial
-        path to keep schedules wall-clock free.
+        worker, sleeping through ``sleep`` (injectable, so tests keep
+        schedules wall-clock free).
     timeout:
-        Per-point bound in seconds, enforced on the parallel path while
-        collecting results in order (a point that exceeds it fails with a
-        ``TaskTimeoutError``-typed failure and its worker is abandoned).
-        The serial path cannot pre-empt a running call and ignores it.
+        Per-point bound in seconds, enforced on the pool from the moment
+        the point reaches a worker (a point that exceeds it fails with a
+        ``TaskTimeoutError``-typed failure and its worker is reaped).
+        The in-process path cannot pre-empt a running call and ignores
+        it.
     strict:
         Fail fast: raise :class:`~repro.errors.RetryExhaustedError` (or
         :class:`~repro.errors.TaskTimeoutError`) for the first failing
-        point instead of recording it.
+        point, in item order, instead of recording it.
     indices:
         Global point numbers for labels/jitter when ``items`` is a
         filtered subset of a larger run (checkpoint resume); defaults to
@@ -316,70 +320,30 @@ def resilient_map(fn: Callable[[T], R], items: Sequence[T],
             ) from failure.exception
         failures.append(failure)
 
-    if workers <= 1 or count < 2:
-        for local, item in enumerate(items):
-            handle(local, run_point(fn, item, indices[local], policy,
-                                    sleep=sleep))
-        return MapOutcome(results, failures, attempts)
+    # outcomes arrive in completion order and are committed in item order
+    arrived: Dict[int, Tuple] = {}
+    committed = 0
 
-    task = _ResilientTask(fn, policy)
+    def commit(local: int, outcome: Tuple) -> None:
+        nonlocal committed
+        arrived[local] = outcome
+        while committed in arrived:
+            handle(committed, arrived.pop(committed))
+            committed += 1
+
+    task = _ResilientTask(fn, policy, sleep)
     payloads = [(indices[local], item) for local, item in enumerate(items)]
-    try:
-        pickle.dumps((task, payloads[0]))
-    except Exception:
-        # unpicklable work: the whole batch degrades to the serial path
-        for local, item in enumerate(items):
-            handle(local, run_point(fn, item, indices[local], policy,
-                                    sleep=sleep))
-        return MapOutcome(results, failures, attempts)
-
-    pool: Optional[ProcessPoolExecutor] = None
-    collected: Dict[int, Tuple] = {}
-    timed_out = False
-    try:
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(workers, count))
-            futures = [pool.submit(task, payload) for payload in payloads]
-        except (OSError, PermissionError):
-            futures = []          # cannot spawn: finish serially below
-        broken = False
-        for local, future in enumerate(futures):
-            if broken:
-                break
-            try:
-                collected[local] = future.result(timeout=timeout)
-            except _FuturesTimeout:
-                timed_out = True
-                collected[local] = ("fail", PointFailure(
-                    index=indices[local], error_type="TaskTimeoutError",
-                    message=(f"no result within the {timeout:g}s "
-                             "per-point timeout"),
-                    traceback="", attempts=1))
-            except pickle.PicklingError:
-                # this one item refused to pickle; compute it in-process
-                collected[local] = run_point(fn, items[local],
-                                             indices[local], policy,
-                                             sleep=sleep)
-            except (BrokenExecutor, OSError, PermissionError):
-                broken = True     # pool died; keep what already finished
-        for local in range(count):
-            outcome = collected.get(local)
-            if outcome is None:   # never dispatched or lost with the pool
-                outcome = run_point(fn, items[local], indices[local],
-                                    policy, sleep=sleep)
-            handle(local, outcome)
-    finally:
-        if pool is not None:
-            if timed_out:
-                # a worker is hung inside its task: terminate the whole
-                # pool and join the corpses, or the child outlives the
-                # sweep as a leaked, CPU-holding process
-                abandon_pool(pool)
-                reap_abandoned()
-            else:
-                # never block on a healthy pool; workers exit on their
-                # own once their (bounded) task returns
-                pool.shutdown(wait=False, cancel_futures=True)
+    executor = resolve_executor(None, workers=min(workers, count),
+                                probe=(task, payloads[:1]))
+    run = ShardScheduler(executor, timeout=timeout).run(
+        task, payloads, on_result=commit)
+    for local, error in sorted(run.quarantined.items()):
+        timed_out = error.error_type == "TaskTimeoutError"
+        commit(local, ("fail", PointFailure(
+            index=indices[local], error_type=error.error_type,
+            message=(f"no result within the {timeout:g}s per-point "
+                     "timeout" if timed_out and timeout else error.message),
+            traceback="", attempts=1 if timed_out else error.attempts)))
     return MapOutcome(results, failures, attempts)
 
 
@@ -672,11 +636,11 @@ class FaultInjector:
 
     ``fail_on`` / ``hang_on`` are 1-based call indices at which the
     wrapped callable raises ``error`` / sleeps ``hang_seconds`` before
-    proceeding.  The counter lives on the instance, so under the sweep
-    engine's per-point parallel dispatch (each submit pickles a fresh
-    copy into the worker) call indices count *attempts of one point*,
-    while on the serial path they count calls across the whole run — both
-    documented, both deterministic.  An optional :class:`CallRecorder`
+    proceeding.  The counter lives on the instance, so on a process pool
+    (each shard pickles a fresh copy into its worker) call indices count
+    calls within one shard — for :func:`resilient_map`, *attempts of one
+    point* — while in-process they count calls across the whole run —
+    both documented, both deterministic.  An optional :class:`CallRecorder`
     counts calls across processes.
     """
 

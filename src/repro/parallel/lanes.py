@@ -25,7 +25,7 @@ planning layer between the two:
 
 The planner never reorders cells *within* a group and never merges
 groups, so results scatter back to the caller's original cell order
-through the chunk's explicit position list (see ``_run_chunked`` in
+through the chunk's explicit index list (see ``_run_chunked`` in
 :mod:`repro.parallel.engine`).
 """
 

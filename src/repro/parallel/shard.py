@@ -7,9 +7,10 @@ transit.  This module splits a sweep's pending points into **shards**
 :class:`~repro.parallel.executors.SweepExecutor` with work-stealing
 (idle workers pull the next pending shard), and supervises the run:
 
-* **integrity** — shard results travel in a :class:`ShardEnvelope`
-  (pickled rows + SHA-256 checksum); a damaged envelope is detected at
-  merge time and the shard is recomputed, never silently merged;
+* **integrity** — results crossing a process boundary (or a simulated
+  wire) travel in a :class:`ShardEnvelope` (pickled rows + SHA-256
+  checksum); damage is detected at merge time and the shard recomputed,
+  never silently merged;
 * **supervision** — worker crashes and heartbeat losses reported by the
   executor turn into shard **reassignment** to the surviving workers;
 * **quarantine** — a shard that keeps failing after the configured
@@ -34,12 +35,16 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import (
     EnvelopeCorruptError, ExecutorError, ShardQuarantinedError,
 )
-from .fault import RetryPolicy
+
+if TYPE_CHECKING:       # fault.py dispatches through this module
+    from .fault import RetryPolicy
 
 #: fault types caused by the distribution substrate rather than the shard
 #: task itself; these earn reassignment even without a retry policy
@@ -112,23 +117,6 @@ class ShardEnvelope:
                    + self.data[index + 1:])
         return ShardEnvelope(self.shard_id, self.attempt, self.worker,
                              mutated, self.checksum)
-
-
-class _EnvelopeTask:
-    """Picklable worker-side wrapper: run the shard task, seal the result.
-
-    Shipping this (instead of the bare task) means the checksum is
-    computed in the worker process, covering the whole return path.
-    """
-
-    def __init__(self, task: Callable[[Any], Any], worker: str):
-        self.task = task
-        self.worker = worker
-
-    def __call__(self, payload: Tuple[int, int, Any]) -> ShardEnvelope:
-        shard_id, attempt, item = payload
-        return ShardEnvelope.pack(shard_id, attempt, self.worker,
-                                  self.task(item))
 
 
 # -- shard bookkeeping --------------------------------------------------------
@@ -346,7 +334,7 @@ class ShardScheduler:
         kind, shard_id, worker, detail = event
         if kind == "result":
             shard = inflight.get(shard_id)
-            envelope: ShardEnvelope = detail
+            envelope = detail       # a ShardEnvelope or in-process hand-off
             if shard is None or envelope.attempt != shard.attempts \
                     or shard.state != RUNNING:
                 # a worker declared dead (or timed out) finished anyway;
@@ -384,29 +372,18 @@ class ShardScheduler:
                             f"worker {worker} lost shard {lost}",
                             pending, inflight, quarantined)
             return
-        if kind == "timeout":
-            shard = inflight.get(shard_id)
-            if shard is None:
-                return
-            message = ("executor-reported timeout"
-                       if self.timeout is None else
-                       f"no result within the {self.timeout:g}s "
-                       f"shard timeout")
-            self.log.note("fault", shard_id, worker, "TaskTimeoutError")
-            self._fault(shard, "TaskTimeoutError", message,
-                        pending, inflight, quarantined)
+        if kind not in ("timeout", "failed"):
+            raise ExecutorError(f"unknown executor event kind {kind!r}")
+        shard = inflight.get(shard_id)
+        if shard is None:
             return
-        if kind == "failed":
-            shard = inflight.get(shard_id)
-            if shard is None:
-                return
-            error_type, message = detail
-            self.log.note("fault", shard_id, worker,
-                          f"{error_type}: {message}")
-            self._fault(shard, error_type, message, pending, inflight,
-                        quarantined)
-            return
-        raise ExecutorError(f"unknown executor event kind {kind!r}")
+        error_type, message = detail if kind == "failed" else (
+            "TaskTimeoutError",
+            "executor-reported timeout" if self.timeout is None
+            else f"no result within the {self.timeout:g}s shard timeout")
+        self.log.note("fault", shard_id, worker, f"{error_type}: {message}")
+        self._fault(shard, error_type, message, pending, inflight,
+                    quarantined)
 
     def _fault(self, shard: Shard, error_type: str, message: str,
                pending: deque, inflight: Dict[int, Shard],

@@ -47,6 +47,20 @@ def _die_once(flag_path, item):
     return _square(item)
 
 
+def _nap(item):
+    """A shard that takes a while (module-level so it pickles)."""
+    time.sleep(0.6)
+    return item
+
+
+def _hang_on_negative(item):
+    """A shard that hangs far past any test deadline when it holds a
+    negative value (module-level so it pickles)."""
+    if min(item) < 0:
+        time.sleep(60.0)
+    return item
+
+
 def _run(executor, payloads, task=_square, **kwargs):
     kwargs.setdefault("sleep", _no_sleep)
     scheduler = ShardScheduler(executor, **kwargs)
@@ -351,6 +365,55 @@ class TestPoolExecutor:
         assert any(kind == "fault" and "WorkerCrashError" in detail
                    for kind, _, _, detail in outcome.log.events)
 
+    def test_long_shard_is_not_mistaken_for_a_stall(self, monkeypatch):
+        # regression: wait() used to come back empty every TICK while a
+        # shard ran, so the scheduler's idle watchdog (64 empty rounds)
+        # aborted any run whose shard outlasted 64 ticks
+        monkeypatch.setattr(PoolExecutor, "TICK", 0.005)
+        outcome = _run(PoolExecutor(workers=2), [[1]], task=_nap)
+        assert outcome.ok and outcome.results == {0: [1]}
+
+    def test_queued_shard_deadline_starts_when_it_can_run(self):
+        # one worker holds a running shard plus one queued behind it; the
+        # queued shard's clock must not run while it waits its turn
+        executor = PoolExecutor(workers=1)
+        outcome = _run(executor, [[1], [2]], task=_nap, timeout=1.0)
+        assert outcome.ok
+        assert executor.stats["timeouts"] == 0.0
+
+    def test_shards_queued_behind_hung_workers_still_run(self):
+        # both processes hang in shards that already timed out; the shard
+        # queued behind them must move to a fresh pool, not stall until
+        # the idle watchdog aborts the run
+        import multiprocessing
+        baseline = len(multiprocessing.active_children())
+        executor = PoolExecutor(workers=2)
+        started = time.perf_counter()
+        outcome = _run(executor, [[-1], [-2], [3]],
+                       task=_hang_on_negative, timeout=0.3)
+        assert time.perf_counter() - started < 10.0
+        assert outcome.results == {2: [3]}
+        assert sorted(outcome.quarantined) == [0, 1]
+        assert all(error.error_type == "TaskTimeoutError"
+                   for error in outcome.quarantined.values())
+        assert executor.stats["pool_rebuilds"] == 1.0
+        deadline = time.perf_counter() + 10.0
+        while time.perf_counter() < deadline and \
+                len(multiprocessing.active_children()) > baseline:
+            time.sleep(0.05)
+        assert len(multiprocessing.active_children()) <= baseline
+
+    def test_keeps_one_shard_queued_per_worker(self):
+        executor = PoolExecutor(workers=2)
+        executor.open(_square)
+        try:
+            for shard_id in range(4):
+                executor.dispatch(shard_id, 1, [shard_id],
+                                  executor.idle_workers()[0])
+            assert executor.idle_workers() == []
+        finally:
+            executor.close()
+
     def test_no_children_leak_after_clean_close(self):
         before = len(multiprocessing.active_children())
         outcome = _run(PoolExecutor(workers=2), PAYLOADS)
@@ -434,7 +497,7 @@ class TestSweepGridExecutors:
         assert _grid_key(results["serial"]) == baseline
         assert _grid_key(results["multinode"]) == baseline
         assert results["serial"].executor == "serial"
-        assert results[None].executor == ""
+        assert results[None].executor == "serial"
         assert results["serial"].shard_stats["shards_planned"] > 0
 
     def test_point_failures_keep_legacy_semantics(self, pedagogical_bet,

@@ -54,6 +54,19 @@ def _hang_long(x):
     return x * x           # can get rid of the worker holding this
 
 
+class _HangOnBandwidth:
+    """Model factory that naps on one bandwidth (pickles into workers)."""
+
+    def __init__(self, bandwidth, seconds):
+        self.bandwidth = bandwidth
+        self.seconds = seconds
+
+    def __call__(self, machine):
+        if machine.bandwidth == self.bandwidth:
+            time.sleep(self.seconds)
+        return RooflineModel(machine)
+
+
 # -- RetryPolicy ---------------------------------------------------------------
 
 class TestRetryPolicy:
@@ -624,6 +637,74 @@ class TestCheckpointResume:
                        checkpoint=path, resume=True)
 
 
+class TestStrictFailsFast:
+    """``strict=True`` without a retry policy or timeout raises for the
+    first failing point straight from its first attempt, whatever the
+    dispatch shape: the failed point is never run a second time."""
+
+    @pytest.mark.parametrize("shape", ["inputs-scalar",
+                                       "grid-serial-executor",
+                                       "grid-default"])
+    def test_failed_point_is_not_rerun(self, pedagogical_bet, tmp_path,
+                                       shape):
+        from repro.parallel import sweep_inputs
+        recorder = CallRecorder(str(tmp_path / "builds.log"))
+        failing = FaultInjector(RooflineModel, fail_on={1},
+                                recorder=recorder)
+        grid = {"bandwidth": [10e9, 20e9, 30e9, 40e9]}
+        with pytest.raises(RetryExhaustedError) as info:
+            if shape == "inputs-scalar":
+                program, inputs = load("pedagogical")
+                sweep_inputs(program, BGQ, {"n": [100, 200, 300, 400]},
+                             base_inputs=inputs, model_factory=failing,
+                             backend="scalar", strict=True)
+            else:
+                sweep_grid(pedagogical_bet, BGQ, grid,
+                           model_factory=failing, strict=True,
+                           executor=("serial"
+                                     if shape == "grid-serial-executor"
+                                     else None))
+        assert recorder.count() == 1
+        assert (info.value.index, info.value.attempts) == (0, 1)
+        assert info.value.error_type == "RuntimeError"
+        assert "injected fault (call 1)" in info.value.traceback_text
+        # every shape here runs in-process: the live error stays the cause
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+
+class TestSweepTimeout:
+    """A sweep-level ``timeout`` on the default executor bounds each
+    point: a hung cell fails alone, its chunk-mates still complete."""
+
+    GRID = {"bandwidth": [10e9, 20e9, 30e9, 40e9]}
+
+    def test_hung_cell_fails_alone(self, pedagogical_bet):
+        import multiprocessing
+        baseline = len(multiprocessing.active_children())
+        hang = _HangOnBandwidth(20e9, 60.0)
+        result = sweep_grid(pedagogical_bet, BGQ, self.GRID,
+                            model_factory=hang, workers=2, timeout=0.5,
+                            chunk_size=2)
+        assert result.executor == "pool"
+        assert [p.overrides["bandwidth"] for p in result.points] == \
+            [10e9, 30e9, 40e9]
+        assert [(f.index, f.error_type, f.attempts)
+                for f in result.failures] == [(1, "TaskTimeoutError", 1)]
+        assert "0.5s per-point timeout" in result.failures[0].message
+        deadline = time.perf_counter() + 10.0
+        while time.perf_counter() < deadline and \
+                len(multiprocessing.active_children()) > baseline:
+            time.sleep(0.05)
+        assert len(multiprocessing.active_children()) <= baseline
+
+    def test_strict_hung_cell_raises_task_timeout(self, pedagogical_bet):
+        hang = _HangOnBandwidth(20e9, 60.0)
+        with pytest.raises(TaskTimeoutError) as info:
+            sweep_grid(pedagogical_bet, BGQ, self.GRID, model_factory=hang,
+                       workers=2, timeout=0.5, chunk_size=2, strict=True)
+        assert info.value.index == 1
+
+
 class TestCheckpointSettingsFingerprint:
     """A resume under different evaluation semantics is refused with a
     SKOP706 diagnostic instead of silently merging incomparable points.
@@ -668,6 +749,27 @@ class TestCheckpointSettingsFingerprint:
             sweep_inputs(program, BGQ, axes, base_inputs=inputs,
                          backend="scalar", checkpoint=path, resume=True)
         assert "vector -> scalar" in str(err.value)
+
+    def test_default_executor_resume_needs_the_same_resolution(
+            self, pedagogical_bet, tmp_path):
+        # executor=None records the executor it resolved to: serial at
+        # workers=1, a pool at workers=2 once the sweep spans several
+        # chunks, so resuming across that change is refused
+        path = str(tmp_path / "grid.json")
+        grid = {"bandwidth": [1e9 * (step + 1) for step in range(40)]}
+        first = sweep_grid(pedagogical_bet, BGQ, grid, checkpoint=path)
+        assert first.executor == "serial"
+        with pytest.raises(CheckpointError, match="SKOP706") as err:
+            sweep_grid(pedagogical_bet, BGQ, grid, checkpoint=path,
+                       resume=True, workers=2)
+        assert "executor: serial -> pool" in str(err.value)
+        # a sweep that fits in one chunk resolves serial at any width
+        small = str(tmp_path / "small.json")
+        assert sweep_grid(pedagogical_bet, BGQ, self.GRID, checkpoint=small,
+                          workers=2).executor == "serial"
+        resumed = sweep_grid(pedagogical_bet, BGQ, self.GRID,
+                             checkpoint=small, resume=True)
+        assert resumed.timings["resumed"] == 2.0
 
     def test_same_settings_resume(self, pedagogical_bet, tmp_path):
         path = str(tmp_path / "grid.json")

@@ -15,7 +15,9 @@ from repro.parallel import (
     CacheStats, LRUCache, analyze_matrix, bet_cache_stats,
     build_bet_cached, clear_bet_cache, evaluate_cells, sweep_grid,
 )
-from repro.parallel.pool import chunk, parallel_map
+from repro.parallel import (
+    PoolExecutor, ShardScheduler, plan_shards, resilient_map,
+)
 from repro.workloads import load
 
 
@@ -196,80 +198,98 @@ def _record_call(x):
     return 10 * x
 
 
-class _FakeFuture:
-    def __init__(self, fn, item, fail):
-        self._fn, self._item, self._fail = fn, item, fail
-
-    def result(self):
-        from concurrent.futures import BrokenExecutor
-        if self._fail:
-            raise BrokenExecutor("pool died")
-        return self._fn(self._item)
+def _settled_future(fn, item, fail):
+    from concurrent.futures import BrokenExecutor, Future
+    future = Future()
+    if fail:
+        future.set_exception(BrokenExecutor("pool died"))
+    else:
+        future.set_result(fn(*item))
+    return future
 
 
 class _DyingPool:
-    """Stand-in executor: runs work lazily in-process and dies (raises
-    BrokenExecutor) from the third future on."""
+    """Stand-in process pool: runs work in-process at submit and dies
+    (its futures raise BrokenExecutor) from the third submit on."""
 
     def __init__(self, max_workers):
         self._submitted = 0
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, item):
+    def submit(self, fn, *args):
         self._submitted += 1
-        return _FakeFuture(fn, item, fail=self._submitted >= 3)
+        return _settled_future(fn, args, fail=self._submitted >= 3)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _NoProcessesPool:
+    """Stand-in for a host that cannot start worker processes."""
+
+    def __init__(self, max_workers):
+        raise PermissionError("process creation is not permitted")
 
 
 class TestPool:
     def test_serial_map(self):
-        assert parallel_map(_double, [1, 2, 3], workers=1) == [2, 4, 6]
+        assert resilient_map(_double, [1, 2, 3], workers=1).results == \
+            [2, 4, 6]
 
-    def test_parallel_map_preserves_order(self):
+    def test_pool_map_preserves_order(self):
         items = list(range(16))
-        assert parallel_map(_double, items, workers=2) == \
+        assert resilient_map(_double, items, workers=2).results == \
             [2 * x for x in items]
 
     def test_unpicklable_payload_falls_back_to_serial(self):
         items = [1, 2, 3]
-        assert parallel_map(lambda x: 2 * x, items, workers=2) == [2, 4, 6]
+        assert resilient_map(lambda x: 2 * x, items,
+                             workers=2).results == [2, 4, 6]
 
     def test_chunk_contiguous_and_complete(self):
-        items = list(range(10))
-        pieces = chunk(items, 3)
-        assert [x for piece in pieces for x in piece] == items
+        pieces = plan_shards(10, 3, workers=1)
+        assert [x for start, stop in pieces
+                for x in range(start, stop)] == list(range(10))
         assert len(pieces) == 3
-        assert max(len(p) for p in pieces) - \
-            min(len(p) for p in pieces) <= 1
+        sizes = [stop - start for start, stop in pieces]
+        assert max(sizes) - min(sizes) <= 1
 
     def test_chunk_never_makes_empty_pieces(self):
-        assert chunk([1, 2], 5) == [[1], [2]]
-        assert chunk([], 3) == [[]]
+        assert plan_shards(2, 5, workers=1) == [(0, 1), (1, 2)]
+        assert plan_shards(0, 3, workers=1) == []
 
     def test_items_are_not_pickled_twice(self):
         # regression: the pickle probe used to serialize the *entire*
         # payload up front, doubling the bill the executor pays again at
-        # submit time — a large grid is now probed with one item only
+        # submit time — a large batch is now probed with one item only
         _PickleCounter.events = 0
         items = [_PickleCounter(i) for i in range(6)]
-        assert parallel_map(_unwrap_double, items, workers=2) == \
-            [0, 2, 4, 6, 8, 10]
+        assert resilient_map(_unwrap_double, items, workers=2).results \
+            == [0, 2, 4, 6, 8, 10]
         assert _PickleCounter.events == len(items) + 1  # probe + submits
 
     def test_dead_pool_keeps_completed_results(self, monkeypatch):
         # regression: the broken-pool fallback used to recompute every
-        # item; now only items without a completed result run again
-        from repro.parallel import pool as pool_module
+        # item; now only shards without a completed result run again
+        from repro.parallel import executors
         _CALL_LOG.clear()
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
-                            _DyingPool)
-        result = parallel_map(_record_call, [1, 2, 3, 4], workers=2)
-        assert result == [10, 20, 30, 40]
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", _DyingPool)
+        outcome = resilient_map(_record_call, [1, 2, 3, 4], workers=2)
+        assert outcome.results == [10, 20, 30, 40]
         assert sorted(_CALL_LOG) == [1, 2, 3, 4]   # each exactly once
+
+    def test_host_without_processes_finishes_in_process(self,
+                                                        monkeypatch):
+        from repro.parallel import executors
+        _CALL_LOG.clear()
+        monkeypatch.setattr(executors, "ProcessPoolExecutor",
+                            _NoProcessesPool)
+        outcome = resilient_map(_record_call, [1, 2, 3, 4], workers=2)
+        assert outcome.ok and outcome.results == [10, 20, 30, 40]
+        assert sorted(_CALL_LOG) == [1, 2, 3, 4]
+        executor = PoolExecutor(workers=2)
+        outcome = ShardScheduler(executor).run(_double, [1, 2, 3])
+        assert outcome.results == {0: 2, 1: 4, 2: 6}
+        assert executor.stats["in_process"] == 3.0
 
 
 # -- BET-build memoization ----------------------------------------------------
@@ -537,6 +557,32 @@ class TestSweepCore:
                 sweep_inputs(program, BGQ, {"n": [500]}, base_inputs=inputs,
                              checkpoint=path, checkpoint_key="legacy",
                              resume=True)
+
+
+    def test_parent_default_dispatch_checkpoint_is_refused(
+            self, pedagogical_bet, tmp_path):
+        # executor=None used to record the executor setting "legacy";
+        # it now records the executor it resolved to, so a file written
+        # by the old default dispatch is refused, never merged
+        import json
+        from repro.errors import CheckpointError
+        from repro.parallel.fault import overrides_key
+        cell = {"bandwidth": 1e10}
+        projection = {"runtime": 1.0, "ranking": ["s1"], "top_label": "s1",
+                      "memory_fraction": 0.5, "completeness": 1.0}
+        path = str(tmp_path / "default.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"version": 1, "key": "default",
+                       "settings": {"backend": "scalar",
+                                    "cache_model": "default",
+                                    "executor": "legacy"},
+                       "completed": {overrides_key(cell): dict(
+                           projection, overrides=cell)}}, handle)
+        with pytest.raises(CheckpointError, match="SKOP706") as err:
+            sweep_grid(pedagogical_bet, BGQ, {"bandwidth": [1e10, 2e10]},
+                       checkpoint=path, checkpoint_key="default",
+                       resume=True)
+        assert "executor: legacy -> serial" in str(err.value)
 
 
 class TestAnalyzeMatrix:
