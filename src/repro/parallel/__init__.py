@@ -28,7 +28,7 @@ from .engine import (
 from .executors import (
     EXECUTOR_NAMES, MultinodeExecutor, PoolExecutor, SerialExecutor,
     SweepExecutor, abandon_pool, default_workers, reap_abandoned,
-    resolve_executor,
+    release_pools, resolve_executor,
 )
 from .fault import (
     NO_RETRY, CallRecorder, FaultInjector, MapOutcome, PointFailure,
@@ -87,4 +87,5 @@ __all__ = [
     "ChaosEvent",
     "abandon_pool",
     "reap_abandoned",
+    "release_pools",
 ]

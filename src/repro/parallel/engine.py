@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -368,8 +369,13 @@ def _evaluate_cell_list(base_machine: MachineModel,
     backend = _resolve_backend(backend, len(cells),
                                has_machine_axes=bool(machine_names),
                                has_input_axes=symbolic)
-    source: Any = (SymbolicBET(program, entry=entry, library=library)
-                   if symbolic else bet)
+    source: Any = bet
+    if symbolic:
+        # a content-keyed tree travels as a _TapeRef: the live tree in
+        # process, its key plus one pickle per run across a boundary
+        source = SymbolicBET(program, entry=entry, library=library)
+        if library is None:
+            source = _TapeRef(source)
 
     def point_payload(cell):
         return (source, base_machine, cell, base_inputs, model_factory, k)
@@ -403,13 +409,17 @@ def _evaluate_cell_list(base_machine: MachineModel,
                 for chunk in positions]
 
     resolved = resolve(workers)
-    if resolved.width > 1 and timeout is None \
-            and len(plan(range(len(cells)), resolved.width)) < 2:
-        # the whole sweep is one chunk: nothing to fan out, and no
-        # deadline that only a worker process could enforce.  Decided
-        # over every cell, not the pending ones, so a resumed run
-        # resolves (and checkpoints) the same executor as its first run
-        resolved = resolve(1)
+    chunks: Optional[List[List[int]]] = None     #: planned over every cell
+    if resolved.width > 1 and timeout is None:
+        chunks = plan(range(len(cells)), resolved.width)
+        if len(chunks) < 2:
+            # the whole sweep is one chunk: nothing to fan out, and no
+            # deadline that only a worker process could enforce.  Decided
+            # over every cell, not the pending ones, so a resumed run
+            # resolves (and checkpoints) the same executor as its first
+            # run
+            resolved = resolve(1)
+            chunks = None
 
     ckpt: Optional[SweepCheckpoint] = None
     if checkpoint:
@@ -451,7 +461,8 @@ def _evaluate_cell_list(base_machine: MachineModel,
 
     # a chunk stops at its first failing cell when that failure is final
     fail_fast = strict and policy is None and timeout is None
-    chunks = plan(pending_indices, resolved.width)
+    if chunks is None or resumed:
+        chunks = plan(pending_indices, resolved.width)
 
     def chunk_payload(chunk):
         chunk_cells = [cells[index] for index in chunk]
@@ -983,34 +994,76 @@ def _run_chunked(cells: Sequence,
 
 # -- worker tasks ---------------------------------------------------------------
 
-#: worker-resident symbolic trees: pool workers persist across chunks, so
-#: one recorded build serves every chunk a worker receives for a program
+#: worker-resident symbolic trees, keyed by content (program fingerprint,
+#: entry, builder options): pool workers persist across chunks — and, on
+#: the warm pool, across runs — so one recorded build serves every chunk a
+#: worker receives for a program
 _SYM_CACHE: Dict[Tuple, SymbolicBET] = {}
 _SYM_CACHE_LIMIT = 8
 _SYM_LOCK = threading.Lock()
 
 
-@contextlib.contextmanager
-def _symbolic_for(sym: SymbolicBET):
-    """Check out the process's resident :class:`SymbolicBET` for
-    ``sym``'s program for the duration of a ``with`` block.
+class _TapeRef:
+    """A chunk payload's handle on the run's :class:`SymbolicBET`.
 
-    Shipped instances arrive without tape or tree (they pickle to just the
-    program); keeping one recorded instance per content key means later
-    chunks replay an already-recorded tape instead of rebuilding.  A
-    checked-out tape is off the cache until its block ends, so two
-    threads evaluating one program never bind the same tape (rebinds
-    mutate the shared tree): the second uses its shipped instance, and
-    whichever finishes first returns its tape to the cache.  Instances
-    with a custom library are not content-keyed and are used as shipped.
+    In process it holds the live tree, handed over as is.  Pickled, it is
+    the tree's content key plus the tree pickled once per run (both
+    computed on the first pickle and reused for every later chunk), so a
+    worker that already holds the key replays its resident tape without
+    unpickling the program or hashing it again.
     """
-    if sym.library is not None:
-        yield sym
-        return
-    key = (sym.program.fingerprint(), sym.entry,
-           repr(sorted(sym.builder_kwargs.items())))
+
+    __slots__ = ("sym", "_key", "_blob")
+
+    def __init__(self, sym: SymbolicBET):
+        self.sym: Optional[SymbolicBET] = sym
+        self._key: Optional[Tuple] = None
+        self._blob: Optional[bytes] = None
+
+    def key(self) -> Tuple:
+        if self._key is None:
+            self._key = (self.sym.program.fingerprint(), self.sym.entry,
+                         repr(sorted(self.sym.builder_kwargs.items())))
+        return self._key
+
+    def tape(self) -> SymbolicBET:
+        """The live tree, or a fresh unpickled copy of the shipped one."""
+        return self.sym if self.sym is not None else pickle.loads(self._blob)
+
+    def __getstate__(self):
+        if self._blob is None:
+            self._blob = pickle.dumps(self.sym)
+        return self.key(), self._blob
+
+    def __setstate__(self, state):
+        self.sym = None
+        self._key, self._blob = state
+
+
+@contextlib.contextmanager
+def _symbolic_for(source):
+    """Check out the process's resident :class:`SymbolicBET` for
+    ``source`` (a :class:`_TapeRef` or a :class:`SymbolicBET`) for the
+    duration of a ``with`` block.
+
+    Keeping one recorded instance per content key means later chunks —
+    later runs, on a warm pool — replay an already-recorded tape instead
+    of rebuilding.  A checked-out tape is off the cache until its block
+    ends, so two threads evaluating one program never bind the same tape
+    (rebinds mutate the shared tree): the second uses its own copy, and
+    whichever finishes first returns its tape to the cache.  Trees with a
+    custom library are not content-keyed and are used as shipped.
+    """
+    if isinstance(source, SymbolicBET):
+        if source.library is not None:
+            yield source
+            return
+        source = _TapeRef(source)
+    key = source.key()
     with _SYM_LOCK:
-        tape = _SYM_CACHE.pop(key, sym)
+        tape = _SYM_CACHE.pop(key, None)
+    if tape is None:
+        tape = source.tape()
     try:
         yield tape
     finally:
@@ -1183,7 +1236,7 @@ def _cell_point_task(payload) -> Dict[str, Any]:
     machine_part, input_part = split_overrides(cell)
     machine = (_cell_machine(base_machine, cell) if machine_part
                else base_machine)
-    if not isinstance(source, SymbolicBET):
+    if not isinstance(source, (SymbolicBET, _TapeRef)):
         return project_machine(source, machine, model_factory, k)
     with _symbolic_for(source) as sym:
         bet = sym.bind({**base_inputs, **input_part})

@@ -14,8 +14,9 @@ scheduler run over one.  Three implementations ship:
   :class:`ProcessPoolExecutor`, behind worker slots, with real crash
   detection (a broken pool becomes crash events and a fresh pool),
   per-shard deadlines, hung-worker reaping via :func:`abandon_pool`,
-  and one shard queued behind each running one so no worker idles
-  while the parent refills it;
+  one shard queued behind each running one so no worker idles while
+  the parent refills it, and one healthy pool kept warm across runs
+  until :func:`release_pools`;
 * :class:`MultinodeExecutor` — a simulated cluster over a
   :class:`~repro.multinode.cluster.ClusterTopology`: shard tasks are
   pure, so they execute in-process while a deterministic virtual clock
@@ -43,8 +44,10 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import sys
 import threading
 import time
+import types
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
@@ -67,7 +70,24 @@ Event = Tuple[str, int, str, Any]
 #: lazily and at exit (the processes, not the pools: ``shutdown`` nulls
 #: the pool's ``_processes`` map, so they must be snapshotted first)
 _ABANDONED: List[Any] = []
+#: manager threads of pools shut down without waiting, joined by
+#: :func:`release_pools`
+_CLOSING: List[threading.Thread] = []
 _ABANDONED_LOCK = threading.Lock()
+
+
+def _shutdown_nowait(pool) -> List[Any]:
+    """Shut ``pool`` down without blocking on it; returns its worker
+    processes (snapshotted first: ``shutdown()`` sets ``pool._processes``
+    to ``None`` even with ``wait=False``)."""
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    thread = getattr(pool, "_executor_manager_thread", None)
+    pool.shutdown(wait=False, cancel_futures=True)
+    if thread is not None:
+        with _ABANDONED_LOCK:
+            _CLOSING[:] = [alive for alive in _CLOSING if alive.is_alive()]
+            _CLOSING.append(thread)
+    return processes
 
 
 def abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -77,10 +97,7 @@ def abandon_pool(pool: ProcessPoolExecutor) -> None:
     the parent; this terminates every worker and parks it for
     :func:`reap_abandoned` (called after each abandon and at exit).
     """
-    # snapshot before shutdown: shutdown() sets pool._processes to None
-    # even with wait=False, losing the only handles to the children
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
+    processes = _shutdown_nowait(pool)
     for process in processes:
         try:
             process.terminate()
@@ -116,7 +133,140 @@ def reap_abandoned(timeout: float = 1.0) -> int:
     return reaped
 
 
-atexit.register(reap_abandoned)
+# -- the warm pool -------------------------------------------------------------
+
+#: the one idle pool kept between runs, as ``(pool, width, the
+#: ProcessPoolExecutor factory that built it, the __main__ definitions
+#: its workers hold)``: its workers, and the symbolic tapes resident in
+#: them, serve the next run of that width (DESIGN.md §12)
+_WARM: Optional[Tuple[Any, int, Any, Dict[str, Any]]] = None
+_WARM_LOCK = threading.Lock()
+#: seconds :func:`release_pools` waits for each closing pool to exit
+_RELEASE_JOIN_SECONDS = 10.0
+
+
+def _pool_healthy(pool) -> bool:
+    """Neither broken nor shut down, and no worker process has exited
+    (a worker that died while the pool idled would lose the next run's
+    first shards)."""
+    if getattr(pool, "_broken", False) \
+            or getattr(pool, "_shutdown_thread", False):
+        return False
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    return all(process.exitcode is None for process in processes)
+
+
+def _main_definitions() -> Dict[str, Any]:
+    """The classes and functions defined in ``__main__``.
+
+    Work pickles them by name (a ``model_factory``, say), and a worker
+    resolves the name in the ``__main__`` it forked from: a worker that
+    forked before one was defined fails to unpickle the work, and one
+    that forked before a redefinition runs the old code.
+    """
+    main = sys.modules.get("__main__")
+    if main is None:
+        return {}
+    return {name: value for name, value in list(vars(main).items())
+            if isinstance(value, (type, types.FunctionType))
+            and getattr(value, "__module__", None) == "__main__"}
+
+
+def _discard(pool) -> None:
+    """Retire a pool that will not be reused."""
+    if _pool_healthy(pool):
+        _shutdown_nowait(pool)
+    else:
+        abandon_pool(pool)
+        reap_abandoned()
+
+
+def _park(entry: Tuple[Any, int, Any, Dict[str, Any]]) -> None:
+    """Make ``entry`` the warm pool unless one at least as wide holds the
+    slot (a concurrent run parked first); the other pool is shut down
+    without waiting."""
+    global _WARM
+    with _WARM_LOCK:
+        if _WARM is None or _WARM[1] < entry[1]:
+            _WARM, entry = entry, _WARM
+    if entry is not None:
+        _shutdown_nowait(entry[0])
+
+
+def _checkout(width: int):
+    """The warm pool when it has ``width`` workers, else ``None``.
+
+    A warm pool that is unhealthy, was built by another
+    :class:`ProcessPoolExecutor` factory or whose workers hold other
+    ``__main__`` definitions than the parent now has is retired; a
+    healthy one of another width stays parked for its own width, and
+    this run builds a pool of its own.  The pool leaves the warm slot,
+    so a concurrent run builds its own too.
+    """
+    global _WARM
+    with _WARM_LOCK:
+        warm, _WARM = _WARM, None
+    if warm is None:
+        return None
+    pool, warm_width, factory, definitions = warm
+    if factory is not ProcessPoolExecutor or not _pool_healthy(pool) \
+            or definitions != _main_definitions():
+        _discard(pool)
+    elif warm_width == width:
+        return pool
+    else:
+        _park(warm)
+    return None
+
+
+def _checkin(pool, width: int, flight: List[Any]) -> None:
+    """Park the pool of a run that ended (``flight``: its unfinished
+    futures) for the next run, when it is healthy and idle once its
+    queued futures are cancelled; otherwise shut it down without
+    waiting."""
+    for future in flight:
+        future.cancel()
+    if all(future.done() for future in flight) and _pool_healthy(pool):
+        # the run started on (or forked) workers holding the parent's
+        # __main__ definitions as they are now
+        _park((pool, width, ProcessPoolExecutor, _main_definitions()))
+    else:
+        _shutdown_nowait(pool)
+
+
+def release_pools() -> None:
+    """Shut the warm pool down and wait until every pool this process
+    closed has exited, worker processes included.
+
+    Runs at interpreter exit ahead of ``concurrent.futures``' own exit
+    hook, which would otherwise poke the wakeup pipe of a pool still
+    closing (``OSError: [Errno 9] Bad file descriptor``), and on the
+    service's drain.  The next pool run starts a fresh pool.
+    """
+    global _WARM
+    with _WARM_LOCK:
+        warm, _WARM = _WARM, None
+    if warm is not None:
+        _shutdown_nowait(warm[0])
+    with _ABANDONED_LOCK:
+        closing = list(_CLOSING)
+        _CLOSING.clear()
+    for thread in closing:
+        thread.join(_RELEASE_JOIN_SECONDS)
+    stragglers = [thread for thread in closing if thread.is_alive()]
+    if stragglers:
+        with _ABANDONED_LOCK:
+            _CLOSING.extend(stragglers)
+    reap_abandoned()
+
+
+try:
+    # threading's exit hooks run newest first, so this one runs before
+    # concurrent.futures' (registered when ProcessPoolExecutor was
+    # imported above)
+    threading._register_atexit(release_pools)
+except (AttributeError, RuntimeError):      # pragma: no cover
+    atexit.register(release_pools)
 
 
 def default_workers() -> int:
@@ -303,9 +453,12 @@ class PoolExecutor(SweepExecutor):
     a zombie holding its process until the hung future resolves (the
     pool cannot pre-empt one worker).  Once zombies hold every process,
     the shards queued behind them move to a fresh pool.  A pool holding
-    zombies is abandoned — workers terminated and reaped — and a healthy
-    one is shut down without waiting for its workers to exit.  A host that
-    cannot start worker processes runs every shard in-process instead.
+    zombies is abandoned — workers terminated and reaped.  Otherwise a
+    healthy, idle pool outlives the run: ``close`` parks it as the
+    process's warm pool and the next ``open`` of the same width checks
+    it out, so its workers keep their resident symbolic tapes;
+    :func:`release_pools` shuts it down.  A host that cannot start
+    worker processes runs every shard in-process instead.
     """
 
     name = "pool"
@@ -333,16 +486,19 @@ class PoolExecutor(SweepExecutor):
         self._task = task
         self._flight = []
         self._events = []
-        self.stats = {"dispatches": 0.0, "pool_rebuilds": 0.0,
-                      "timeouts": 0.0, "crashes": 0.0, "in_process": 0.0}
-        self._pool = self._new_pool()
+        self.stats = {"dispatches": 0.0, "pool_starts": 0.0,
+                      "pool_rebuilds": 0.0, "timeouts": 0.0,
+                      "crashes": 0.0, "in_process": 0.0}
+        self._pool = _checkout(self.workers) or self._new_pool()
 
     def _new_pool(self) -> Optional[ProcessPoolExecutor]:
         """A fresh pool, or ``None`` when this host cannot build one."""
         try:
-            return ProcessPoolExecutor(max_workers=self.workers)
+            pool = ProcessPoolExecutor(max_workers=self.workers)
         except (OSError, ImportError, NotImplementedError):
             return None
+        self.stats["pool_starts"] += 1
+        return pool
 
     def idle_workers(self):
         if self._pool is None:      # in-process: one shard at a time
@@ -500,9 +656,10 @@ class PoolExecutor(SweepExecutor):
             if any(slot.zombie for slot in self._flight):
                 abandon_pool(self._pool)
             else:
-                # never block on a healthy pool; its workers exit on their
-                # own once their (bounded) task returns
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                # never block on a healthy pool: park it for the next run,
+                # or let its workers exit once their (bounded) task returns
+                _checkin(self._pool, self.workers,
+                         [slot.future for slot in self._flight])
         reap_abandoned()
         self._pool = None
         self._flight = []

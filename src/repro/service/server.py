@@ -22,8 +22,9 @@ first (DESIGN.md §14):
   bounded per-client buffer; a stalled reader is disconnected
   (``SKOP714``) without stalling its batch-mates.
 * **drain** — SIGTERM stops admission, finishes or checkpoints
-  in-flight sweeps (``SKOP715``), then exits; a restarted server
-  resumes checkpointed work bit-identically.
+  in-flight sweeps (``SKOP715``), shuts the warm worker pool down,
+  then exits; a restarted server resumes checkpointed work
+  bit-identically.
 
 Everything evaluated on the normal path is **bit-identical** to a
 direct :func:`~repro.parallel.sweep_grid` call — the service reuses
@@ -61,6 +62,7 @@ from ..parallel.chaos import CHAOS_KINDS, ChaosSchedule
 from ..parallel.engine import (
     INPUT_PREFIX, VECTOR_MIN_POINTS, evaluate_cells,
 )
+from ..parallel.executors import release_pools
 from ..parallel.fault import overrides_key, sweep_key
 from ..skeleton import parse_skeleton
 from ..validate import preflight
@@ -242,6 +244,8 @@ class AnalysisService:
         while self._active_connections and self._now() < deadline:
             await asyncio.sleep(0.02)
         self._write_warm_cache()
+        # no sweep is left to use the warm pool: stop its workers now
+        await asyncio.to_thread(release_pools)
         if self._stopped is not None:
             self._stopped.set()
 
@@ -995,6 +999,12 @@ class AnalysisService:
             value = int(stats.get(name, 0))
             if value:
                 self._count(name, value)
+        # chunks share the process's warm pool: this stays at one start
+        # while the pool stays healthy
+        starts = int((getattr(result, "shard_stats", None) or {})
+                     .get("executor_pool_starts", 0))
+        if starts:
+            self._count("executor_pool_starts", starts)
         if not degraded:
             infra = self._infra_noise(result)
             self.breaker.record(not infra, probe=probe)

@@ -23,8 +23,9 @@ from repro.multinode import (
 from repro.parallel import (
     ChaosEvent, ChaosSchedule, MultinodeExecutor, PointFailure,
     PoolExecutor, RetryPolicy, SerialExecutor, ShardEnvelope,
-    ShardScheduler, SupervisionLog, SweepExecutor, plan_shards,
-    resolve_executor, sweep_grid,
+    ShardScheduler, SupervisionLog, SweepExecutor, clear_symbolic_cache,
+    evaluate_cells, plan_shards, release_pools, resolve_executor,
+    sweep_grid,
 )
 from repro.workloads import load
 
@@ -397,6 +398,7 @@ class TestPoolExecutor:
         assert all(error.error_type == "TaskTimeoutError"
                    for error in outcome.quarantined.values())
         assert executor.stats["pool_rebuilds"] == 1.0
+        release_pools()     # the replacement pool is parked warm
         deadline = time.perf_counter() + 10.0
         while time.perf_counter() < deadline and \
                 len(multiprocessing.active_children()) > baseline:
@@ -415,18 +417,179 @@ class TestPoolExecutor:
             executor.close()
 
     def test_no_children_leak_after_clean_close(self):
+        # a clean close keeps the pool warm (at most `workers` more
+        # children) until release_pools() shuts it down
         before = len(multiprocessing.active_children())
         outcome = _run(PoolExecutor(workers=2), PAYLOADS)
         assert outcome.ok
+        assert len(_live_children()) <= before + 2
+        release_pools()
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            leaked = [child for child
-                      in multiprocessing.active_children()
-                      if child.is_alive()]
+            leaked = _live_children()
             if len(leaked) <= before:
                 break
             time.sleep(0.1)
         assert len(leaked) <= before
+
+
+def _live_children():
+    return [child for child in multiprocessing.active_children()
+            if child.is_alive()]
+
+
+def _warm_pool():
+    """The parked warm pool (``None`` when the slot is empty)."""
+    from repro.parallel import executors
+    return executors._WARM[0] if executors._WARM is not None else None
+
+
+def _input_sweep(program, inputs, **kwargs):
+    """An 8-chunk scalar input sweep of ``program``."""
+    cells = [{"bandwidth": bandwidth, "input:n": float(n)}
+             for bandwidth in (2e10, 4e10) for n in range(8, 72)]
+    return evaluate_cells(XEON_E5_2420, cells, program=program,
+                          inputs=inputs, backend="scalar", chunk_size=16,
+                          **kwargs)
+
+
+def _sweep_record(result):
+    return ([(point.overrides, point.runtime, point.ranking,
+              point.memory_fraction) for point in result.points],
+            [(failure.index, failure.error_type, failure.message,
+              failure.item, failure.attempts)
+             for failure in result.failures])
+
+
+class TestWarmPool:
+    """The pool outlives a run: checkout, return, reuse, release."""
+
+    def test_second_sweep_reuses_the_pool_and_its_tapes(self, pedagogical):
+        program, inputs = pedagogical
+        release_pools()
+        clear_symbolic_cache()
+        first = _input_sweep(program, inputs, workers=2)
+        second = _input_sweep(program, inputs, workers=2)
+        serial = _input_sweep(program, inputs, workers=1)
+        assert first.executor == second.executor == "pool"
+        assert _sweep_record(first) == _sweep_record(serial)
+        assert _sweep_record(second) == _sweep_record(serial)
+        assert first.shard_stats["executor_pool_starts"] == 1.0
+        assert second.shard_stats["executor_pool_starts"] == 0.0
+        assert second.cache_stats["bet_builds"] == 0.0
+        assert second.cache_stats["bet_replays"] > 0
+
+    def test_worker_killed_while_idle_loses_no_points(self, pedagogical):
+        program, inputs = pedagogical
+        release_pools()
+        first = _input_sweep(program, inputs, workers=2)
+        pool = _warm_pool()
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while victim.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        second = _input_sweep(program, inputs, workers=2)
+        assert not second.failures
+        assert _sweep_record(second) == _sweep_record(first)
+        # checkout discarded the damaged pool: no chunk met the dead worker
+        assert second.shard_stats["executor_pool_starts"] == 1.0
+        assert second.shard_stats["executor_pool_rebuilds"] == 0.0
+        assert second.shard_stats["shard_reassignments"] == 0.0
+        assert _warm_pool() is not pool
+
+    def test_pool_abandoned_after_a_hang_is_never_handed_out(self):
+        release_pools()
+        assert _run(PoolExecutor(workers=2), PAYLOADS).ok
+        warm = _warm_pool()
+        assert warm is not None
+        hung = PoolExecutor(workers=2)
+        outcome = _run(hung, [[-1], [2]], task=_hang_on_negative,
+                       timeout=0.3)
+        assert hung.stats["pool_starts"] == 0.0      # it ran on `warm`
+        assert sorted(outcome.quarantined) == [0]
+        assert _warm_pool() is None
+        fresh = PoolExecutor(workers=2)
+        assert _run(fresh, PAYLOADS).ok
+        assert fresh.stats["pool_starts"] == 1.0
+        assert _warm_pool() is not warm
+
+    def test_concurrent_checkout_builds_its_own_pool(self):
+        release_pools()
+        first, second = PoolExecutor(workers=2), PoolExecutor(workers=2)
+        first.open(_square)
+        second.open(_square)
+        try:
+            assert first.stats["pool_starts"] == 1.0
+            assert second.stats["pool_starts"] == 1.0
+            kept = first._pool
+        finally:
+            first.close()
+            second.close()
+        assert _warm_pool() is kept      # the extra pool was shut down
+        again = PoolExecutor(workers=2)
+        assert _run(again, PAYLOADS).ok
+        assert again.stats["pool_starts"] == 0.0
+
+    def test_other_width_leaves_the_warm_pool_parked(self):
+        release_pools()
+        assert _run(PoolExecutor(workers=2), PAYLOADS).ok
+        warm = _warm_pool()
+        narrow = PoolExecutor(workers=1)
+        assert _run(narrow, PAYLOADS).ok
+        assert narrow.stats["pool_starts"] == 1.0
+        assert _warm_pool() is warm       # the narrow pool was shut down
+        same = PoolExecutor(workers=2)
+        assert _run(same, PAYLOADS).ok
+        assert same.stats["pool_starts"] == 0.0
+        wide = PoolExecutor(workers=3)
+        assert _run(wide, PAYLOADS).ok
+        assert wide.stats["pool_starts"] == 1.0
+        assert _warm_pool() is not warm   # the wider pool took the slot
+        release_pools()
+        assert _warm_pool() is None
+
+    def test_policy_sweep_with_failing_cells_keeps_the_pool(self,
+                                                            pedagogical):
+        # two cells fail validation, so each sweep ends with a 2-wide
+        # per-point phase 2 run next to the 3-wide chunk run
+        program, inputs = pedagogical
+        release_pools()
+        cells = [{"cores": -4.0 if n in (9, 40) else 4.0,
+                  "input:n": float(n)} for n in range(8, 72)]
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
+        results = []
+        for _ in range(2):
+            results.append(evaluate_cells(
+                XEON_E5_2420, cells, program=program, inputs=inputs,
+                backend="scalar", chunk_size=8, workers=3, policy=policy))
+            if len(results) == 1:
+                warm = _warm_pool()
+        first, second = results
+        assert [failure.index for failure in first.failures] == [1, 32]
+        assert _sweep_record(second) == _sweep_record(first)
+        assert second.shard_stats["executor_pool_starts"] == 0.0
+        assert _warm_pool() is warm
+
+    def test_main_redefinition_retires_the_warm_pool(self, pedagogical,
+                                                    monkeypatch):
+        # work pickles __main__ callables by name: a worker forked before
+        # a (re)definition would run stale code or fail to unpickle it
+        import types
+        program, inputs = pedagogical
+        release_pools()
+        main = types.ModuleType("__main__")
+        monkeypatch.setitem(__import__("sys").modules, "__main__", main)
+        _input_sweep(program, inputs, workers=2)
+        warm = _warm_pool()
+        reused = _input_sweep(program, inputs, workers=2)
+        assert reused.shard_stats["executor_pool_starts"] == 0.0
+        exec("def factory(machine):\n    return machine\n", vars(main))
+        main.factory.__module__ = "__main__"
+        fresh = _input_sweep(program, inputs, workers=2)
+        assert fresh.shard_stats["executor_pool_starts"] == 1.0
+        assert _warm_pool() is not warm
+        release_pools()
 
 
 # -- executor resolution ------------------------------------------------------

@@ -798,6 +798,64 @@ class TestGracefulDrain:
             assert process.wait(timeout=60) == 0
 
 
+SERVE_CLI_SCRIPT = """
+import multiprocessing, sys
+sys.path.insert(0, {src!r})
+from repro import cli
+status = cli.main(["serve", "--port", "{port}", "--workers", "2"])
+# the drain has run: every pool worker must already be gone
+print(len(multiprocessing.active_children()), flush=True)
+sys.exit(status)
+"""
+
+
+def _free_port():
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _answers(port):
+    try:
+        return http_json(port, "GET", "/healthz", timeout=2.0)[0] == 200
+    except OSError:
+        return False
+
+
+class TestWarmPoolServed:
+    def test_sweeps_share_one_pool_and_drain_releases_it(self, tmp_path):
+        port = _free_port()
+        script = tmp_path / "serve.py"
+        script.write_text(SERVE_CLI_SCRIPT.format(src=SRC, port=port))
+        process = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True)
+        try:
+            assert wait_until(lambda: _answers(port), timeout=60.0)
+            # two lane groups of 64 cells: each request fans out to the
+            # pool in one engine call
+            grid = {"bandwidth": [1e10, 2e10],
+                    "input:n": [float(n) for n in range(8, 72)]}
+            for _ in range(2):
+                status, _, body = http_json(
+                    port, "POST", "/sweep",
+                    {"workload": "pedagogical", "params": grid},
+                    timeout=120)
+                assert status == 200 and body["status"] == "ok"
+                assert len(body["points"]) == 128
+            status, _, stats = http_json(port, "GET", "/statsz")
+            assert status == 200
+            assert stats["counters"]["executor_pool_starts"] == 1
+            process.send_signal(signal.SIGTERM)
+            out, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert out.split() == ["0"]
+
+
 # -- CLI -----------------------------------------------------------------------
 
 class TestServeCommand:

@@ -3,10 +3,12 @@
 sweeps, batched analyses, and the serial/parallel equivalence guarantee.
 """
 
+import pickle
+
 import pytest
 
 from repro.analysis.sensitivity import sweep_machine
-from repro.bet import build_bet
+from repro.bet import SymbolicBET, build_bet
 from repro.errors import AnalysisError
 from repro.experiments import analyze, cache_stats, clear_cache
 from repro.experiments import pipeline
@@ -16,8 +18,10 @@ from repro.parallel import (
     build_bet_cached, clear_bet_cache, evaluate_cells, sweep_grid,
 )
 from repro.parallel import (
-    PoolExecutor, ShardScheduler, plan_shards, resilient_map,
+    PoolExecutor, ShardScheduler, clear_symbolic_cache, plan_shards,
+    resilient_map,
 )
+from repro.parallel.engine import _symbolic_for, _TapeRef
 from repro.workloads import load
 
 
@@ -290,6 +294,52 @@ class TestPool:
         outcome = ShardScheduler(executor).run(_double, [1, 2, 3])
         assert outcome.results == {0: 2, 1: 4, 2: 6}
         assert executor.stats["in_process"] == 3.0
+
+
+# -- what a chunk ships --------------------------------------------------------
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("must not run")
+
+
+class TestShipOnce:
+    """Symbolic chunks carry a tape reference: the live tree in process,
+    its content key plus one pickle of the tree per run across a
+    process boundary."""
+
+    def test_tree_pickles_once_for_every_chunk(self, pedagogical,
+                                               monkeypatch):
+        program, _ = pedagogical
+        calls = []
+        getstate = SymbolicBET.__getstate__
+        monkeypatch.setattr(SymbolicBET, "__getstate__",
+                            lambda sym: calls.append(1) or getstate(sym))
+        ref = _TapeRef(SymbolicBET(program))
+        for chunk in range(4):
+            pickle.dumps((ref, chunk))
+        assert len(calls) == 1
+
+    def test_resident_key_skips_unpickle_and_fingerprint(self, pedagogical,
+                                                         monkeypatch):
+        program, inputs = pedagogical
+        clear_symbolic_cache()
+        live = _TapeRef(SymbolicBET(program))
+        with _symbolic_for(live) as tape:
+            tape.bind(dict(inputs))
+        shipped = pickle.loads(pickle.dumps(live))
+        monkeypatch.setattr(SymbolicBET, "__setstate__", _refuse)
+        monkeypatch.setattr(type(program), "fingerprint", _refuse)
+        with _symbolic_for(shipped) as resident:
+            assert resident is tape
+
+    def test_serial_sweep_never_pickles_the_tree(self, pedagogical,
+                                                 monkeypatch):
+        program, inputs = pedagogical
+        monkeypatch.setattr(SymbolicBET, "__getstate__", _refuse)
+        cells = [{"input:n": float(n)} for n in range(8, 40)]
+        result = evaluate_cells(XEON_E5_2420, cells, program=program,
+                                inputs=inputs, chunk_size=8)
+        assert len(result.points) == len(cells) and not result.failures
 
 
 # -- BET-build memoization ----------------------------------------------------
